@@ -58,7 +58,8 @@ use routing_core::BuildContext;
 use routing_graph::generators::{Family, WeightModel};
 use routing_graph::Graph;
 use routing_model::{simulate, DynScheme};
-use routing_serve::{EngineConfig, LatencyHistogram, ShardedEngine, ZipfWorkload};
+use routing_obs::LatencyHistogram;
+use routing_serve::{EngineConfig, ShardedEngine, ZipfWorkload};
 use serde::Serialize;
 
 struct Options {

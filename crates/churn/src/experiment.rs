@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use routing_core::BuildError;
 use routing_graph::mutate::{induced_subgraph, largest_component};
 use routing_graph::{Graph, SampledDistances, VertexId};
-use routing_model::stale::{route_pairs_lossy, sample_alive_pairs, ResilienceReport};
+use routing_model::stale::{route_pairs_lossy, ResilienceReport};
 use routing_model::DynScheme;
 
 use crate::plan::{ChurnPlanConfig, ChurnProcess};
@@ -271,9 +271,9 @@ where
     Ok(result)
 }
 
-/// Per-round pair sampling. With `sources_cap == 0` this is exactly
-/// [`sample_alive_pairs`] (uniform sources, unchanged measurement protocol);
-/// a positive cap first draws that many alive source vertices and anchors
+/// Per-round pair sampling among the `alive` vertices. With
+/// `sources_cap == 0` pairs are uniform (unchanged measurement protocol); a
+/// positive cap first draws that many alive source vertices and anchors
 /// every pair at one of them, bounding the ground-truth cost per round.
 fn sample_round_pairs(
     alive: &[bool],
@@ -282,21 +282,19 @@ fn sample_round_pairs(
     rng: &mut StdRng,
 ) -> Vec<(VertexId, VertexId)> {
     use rand::seq::SliceRandom;
-    if sources_cap == 0 {
-        return sample_alive_pairs(alive, count, rng);
-    }
     let ids: Vec<VertexId> = alive
         .iter()
         .enumerate()
         .filter(|&(_, &a)| a)
         .map(|(i, _)| VertexId(i as u32))
         .collect();
-    if ids.len() < 2 {
-        return Vec::new();
+    if sources_cap == 0 {
+        return routing_model::sample_pairs_from(&ids, &ids, count, rng);
     }
+    // Fewer than two ids shuffle without drawing and sample no pairs.
     let mut sources = ids.clone();
     sources.shuffle(rng);
-    sources.truncate(sources_cap.min(ids.len()));
+    sources.truncate(sources_cap);
     routing_model::sample_pairs_from(&sources, &ids, count, rng)
 }
 
@@ -325,6 +323,21 @@ mod tests {
         move |g: &Graph| {
             let mut rng = StdRng::seed_from_u64(seed);
             Ok(Box::new(TzRoutingScheme::build(g, 2, &mut rng)?))
+        }
+    }
+
+    #[test]
+    fn sampled_pairs_avoid_dead_vertices() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let alive = vec![true, false, true, true, false];
+        for cap in [0, 2] {
+            let pairs = sample_round_pairs(&alive, cap, 50, &mut rng);
+            assert_eq!(pairs.len(), 50);
+            for (u, v) in pairs {
+                assert!(alive[u.index()] && alive[v.index()]);
+                assert_ne!(u, v);
+            }
+            assert!(sample_round_pairs(&[true, false], cap, 5, &mut rng).is_empty());
         }
     }
 

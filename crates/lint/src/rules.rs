@@ -104,13 +104,18 @@ pub const WORKSPACE_CRATES: &[CrateSpec] = &[
 
 /// Hard panic-ban scopes, keyed by workspace-relative file path. These are
 /// the routed-query hot paths: `graph::scratch` (query scratchpad),
-/// `model::simulate_lean*` + `record_delivery` (zero-alloc simulation),
+/// `model::simulate_lean*`, the shared `walk` loop and its `known` /
+/// `label_checked` endpoint guards, and `record_delivery` (the zero-alloc
+/// query path, which churn's lossy walks share),
 /// `serve::engine`/`snapshot` (the serving data plane), and the `obs`
 /// disabled paths (span/metric fast-outs that run even when telemetry is
 /// off).
 pub const HOT_PATHS: &[(&str, HotScope)] = &[
     ("crates/graph/src/scratch.rs", HotScope::File),
-    ("crates/model/src/simulator.rs", HotScope::FnPrefixes(&["simulate_lean", "record_delivery"])),
+    (
+        "crates/model/src/simulator.rs",
+        HotScope::FnPrefixes(&["simulate_lean", "walk", "known", "label_checked", "record_delivery"]),
+    ),
     ("crates/serve/src/engine.rs", HotScope::File),
     ("crates/serve/src/snapshot.rs", HotScope::File),
     ("crates/obs/src/profile.rs", HotScope::FnPrefixes(&["span", "profiling_enabled"])),

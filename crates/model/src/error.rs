@@ -42,6 +42,15 @@ pub enum RouteError {
         /// Description of the problem.
         what: String,
     },
+    /// A vertex outside the scheme's vertex space `0..n`: an out-of-range
+    /// source or destination, or a vertex a stale port forwarded into that
+    /// joined after the tables were built.
+    UnknownVertex {
+        /// The offending vertex.
+        at: VertexId,
+        /// The number of vertices the scheme was built for.
+        n: usize,
+    },
 }
 
 impl fmt::Display for RouteError {
@@ -60,6 +69,9 @@ impl fmt::Display for RouteError {
                 write!(f, "delivered at {at} but destination is {destination}")
             }
             RouteError::BadLabel { what } => write!(f, "bad destination label: {what}"),
+            RouteError::UnknownVertex { at, n } => {
+                write!(f, "vertex {at} outside the scheme's vertex space 0..{n}")
+            }
         }
     }
 }
@@ -89,6 +101,8 @@ mod tests {
         assert!(e.to_string().contains("v2"));
         let e = RouteError::BadLabel { what: "unknown vertex".into() };
         assert!(e.to_string().contains("unknown vertex"));
+        let e = RouteError::UnknownVertex { at: VertexId(7), n: 5 };
+        assert!(e.to_string().contains("v7") && e.to_string().contains("0..5"));
     }
 
     #[test]

@@ -163,19 +163,8 @@ pub fn select_pairs<R: Rng>(
             pairs
         }
         PairSelection::Sampled(k) => {
-            if n < 2 {
-                return Vec::new();
-            }
             let ids: Vec<VertexId> = g.vertices().collect();
-            let mut pairs = Vec::with_capacity(k);
-            while pairs.len() < k {
-                let u = *ids.choose(rng).expect("graph has vertices");
-                let v = *ids.choose(rng).expect("graph has vertices");
-                if u != v {
-                    pairs.push((u, v));
-                }
-            }
-            pairs
+            sample_pairs_from(&ids, &ids, k, rng)
         }
     }
 }
@@ -197,9 +186,9 @@ pub fn select_pairs_anchored<R: Rng>(
     sample_pairs_from(sources, &ids, count, rng)
 }
 
-/// The sampling primitive behind [`select_pairs_anchored`] (and the churn
-/// harness's per-round variant, which restricts both slices to alive
-/// vertices): `count` ordered pairs with the source drawn uniformly from
+/// The sampling primitive behind [`select_pairs`], [`select_pairs_anchored`]
+/// and the churn harness's per-round sampler (which restricts both slices
+/// to alive vertices): `count` ordered pairs with the source drawn uniformly from
 /// `sources`, the destination uniformly from `destinations`, rejecting
 /// `u == v`. Empty when either slice is empty or no distinct pair exists.
 pub fn sample_pairs_from<R: Rng>(

@@ -41,8 +41,5 @@ pub use eval::{
     evaluate, evaluate_pairs, evaluate_sampled, sample_pairs_from, select_pairs_anchored,
 };
 pub use scheme::{Decision, HeaderSize, RoutingScheme};
-pub use simulator::{
-    simulate, simulate_lean, simulate_lean_with_label, simulate_with_ttl, LeanOutcome,
-    RouteOutcome,
-};
-pub use stale::{route_pairs_lossy, sample_alive_pairs, FailureBreakdown, ResilienceReport};
+pub use simulator::{simulate, simulate_lean, simulate_lean_with_label, LeanOutcome, RouteOutcome};
+pub use stale::{route_pairs_lossy, FailureBreakdown, ResilienceReport};

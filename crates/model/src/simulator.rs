@@ -2,7 +2,7 @@
 
 use routing_graph::{Graph, VertexId, Weight};
 
-use crate::erased::DynScheme;
+use crate::erased::{DynScheme, ErasedLabel};
 use crate::scheme::{Decision, HeaderSize};
 use crate::RouteError;
 
@@ -33,8 +33,8 @@ impl RouteOutcome {
     }
 }
 
-/// Routes a message from `source` to `dest` using `scheme`, with a default
-/// hop budget of `4 * n + 16`.
+/// Routes a message from `source` to `dest` using `scheme`, with a hop
+/// budget of `4 * n + 16`, recording the traversed path.
 ///
 /// Takes the scheme through the object-safe [`DynScheme`] surface, so the
 /// same code path serves typed schemes (every `&S where S: RoutingScheme`
@@ -42,74 +42,37 @@ impl RouteOutcome {
 ///
 /// # Errors
 ///
-/// Propagates scheme errors, and fails if the scheme forwards on a
-/// non-existent port, loops past the hop budget, or delivers at the wrong
-/// vertex.
+/// Propagates scheme errors, and fails if an endpoint is outside the
+/// scheme's vertex space, or if the scheme forwards on a non-existent
+/// port, loops past the hop budget, or delivers at the wrong vertex.
 pub fn simulate(
     g: &Graph,
     scheme: &dyn DynScheme,
     source: VertexId,
     dest: VertexId,
 ) -> Result<RouteOutcome, RouteError> {
-    simulate_with_ttl(g, scheme, source, dest, 4 * g.n() + 16)
-}
-
-/// Routes a message with an explicit hop budget. See [`simulate`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_with_ttl(
-    g: &Graph,
-    scheme: &dyn DynScheme,
-    source: VertexId,
-    dest: VertexId,
-    max_hops: usize,
-) -> Result<RouteOutcome, RouteError> {
-    let label = scheme.label_of(dest);
-    let mut header = scheme.init_header(source, &label)?;
-    let mut at = source;
+    let label = label_checked(scheme, dest)?;
     let mut path = vec![source];
-    let mut weight: Weight = 0;
-    let mut max_header_words = header.words();
-
-    loop {
-        match scheme.decide(at, &mut header, &label)? {
-            Decision::Deliver => {
-                if at != dest {
-                    return Err(RouteError::DeliveredAtWrongVertex { at, destination: dest });
-                }
-                let hops = path.len() - 1;
-                record_delivery(hops, max_header_words);
-                return Ok(RouteOutcome { path, weight, hops, max_header_words });
-            }
-            Decision::Forward(port) => {
-                if path.len() > max_hops {
-                    return Err(RouteError::HopBudgetExceeded { budget: max_hops });
-                }
-                if port.index() >= g.degree(at) {
-                    return Err(RouteError::InvalidPort { at, port: port.0 });
-                }
-                let edge = g.neighbor_at(at, port);
-                weight += edge.weight;
-                at = edge.to;
-                path.push(at);
-                max_header_words = max_header_words.max(header.words());
-            }
-        }
-    }
+    let out = walk(g, scheme, source, dest, &label, 4 * g.n() + 16, |v| path.push(v))?;
+    record_delivery(&out);
+    Ok(RouteOutcome {
+        path,
+        weight: out.weight,
+        hops: out.hops,
+        max_header_words: out.max_header_words,
+    })
 }
 
 /// Telemetry for one delivered query: one flag load when metrics are off,
-/// three counter bumps when on. Only successful deliveries count — error
-/// paths are accounted by their callers (the churn harness's failure
-/// breakdown maps onto the `churn_fail_*` counters).
+/// three counter bumps when on. Only strict deliveries count — error paths
+/// and lossy walks are accounted by their callers (the churn harness's
+/// failure breakdown maps onto the `churn_fail_*` counters).
 #[inline]
-fn record_delivery(hops: usize, max_header_words: usize) {
+fn record_delivery(out: &LeanOutcome) {
     if routing_obs::metrics_enabled() {
         routing_obs::counters::ROUTING_QUERIES.inc();
-        routing_obs::counters::ROUTING_HOPS.add(hops as u64);
-        routing_obs::counters::ROUTING_HEADER_WORDS.add(max_header_words as u64);
+        routing_obs::counters::ROUTING_HOPS.add(out.hops as u64);
+        routing_obs::counters::ROUTING_HEADER_WORDS.add(out.max_header_words as u64);
     }
 }
 
@@ -117,8 +80,8 @@ fn record_delivery(hops: usize, max_header_words: usize) {
 /// serving layer's per-query answer shape.
 ///
 /// Produced by [`simulate_lean`], which makes exactly the decision sequence
-/// of [`simulate_with_ttl`] but never allocates: on a query-serving hot path
-/// the path vector is the only per-query allocation left, and millions of
+/// of [`simulate`] but never allocates: on a query-serving hot path the
+/// path vector is the only per-query allocation left, and millions of
 /// queries per second pay for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeanOutcome {
@@ -131,14 +94,10 @@ pub struct LeanOutcome {
     pub max_header_words: usize,
 }
 
-/// Routes a message like [`simulate_with_ttl`] but without materializing
-/// the traversed path: same decision sequence, same errors, zero
-/// allocations beyond what the scheme itself does for the label and header.
-///
-/// The serving layer (`routing-serve`) uses this on its hot path; the
-/// equivalence with [`simulate_with_ttl`] (weight, hops, header words,
-/// errors) is pinned by a test in this module and re-checked per scheme by
-/// the serve equivalence suite.
+/// Routes a message like [`simulate`] but with an explicit hop budget and
+/// without materializing the traversed path: same decision sequence, same
+/// errors, zero allocations beyond what the scheme itself does for the
+/// label and header.
 ///
 /// # Errors
 ///
@@ -150,7 +109,7 @@ pub fn simulate_lean(
     dest: VertexId,
     max_hops: usize,
 ) -> Result<LeanOutcome, RouteError> {
-    let label = scheme.label_of(dest);
+    let label = label_checked(scheme, dest)?;
     simulate_lean_with_label(g, scheme, source, dest, &label, max_hops)
 }
 
@@ -170,9 +129,54 @@ pub fn simulate_lean_with_label(
     scheme: &dyn DynScheme,
     source: VertexId,
     dest: VertexId,
-    label: &crate::erased::ErasedLabel,
+    label: &ErasedLabel,
     max_hops: usize,
 ) -> Result<LeanOutcome, RouteError> {
+    let out = walk(g, scheme, source, dest, label, max_hops, |_| {})?;
+    record_delivery(&out);
+    Ok(out)
+}
+
+/// `dest`'s erased label, or [`RouteError::UnknownVertex`] when the scheme
+/// has no label for it (checked before `label_of` can index out of range).
+pub(crate) fn label_checked(
+    scheme: &dyn DynScheme,
+    dest: VertexId,
+) -> Result<ErasedLabel, RouteError> {
+    known(dest, scheme.n())?;
+    Ok(scheme.label_of(dest))
+}
+
+#[inline]
+fn known(v: VertexId, n: usize) -> Result<(), RouteError> {
+    if v.index() < n {
+        Ok(())
+    } else {
+        Err(RouteError::UnknownVertex { at: v, n })
+    }
+}
+
+/// The one hop-by-hop walker behind every entry point: strict simulation,
+/// the serving hot path and the churn harness's lossy evaluation.
+///
+/// Enforces the fixed-port rules of a legal walk — endpoints and every
+/// visited vertex inside the scheme's vertex space (a stale port on a
+/// mutated graph can lead out of it), at most `max_hops` forwards, only
+/// existing ports, delivery only at `dest` — and reports each vertex
+/// entered to `on_hop`, which the path-recording entry uses to build its
+/// path and every other caller leaves a no-op.
+pub(crate) fn walk<F: FnMut(VertexId)>(
+    g: &Graph,
+    scheme: &dyn DynScheme,
+    source: VertexId,
+    dest: VertexId,
+    label: &ErasedLabel,
+    max_hops: usize,
+    mut on_hop: F,
+) -> Result<LeanOutcome, RouteError> {
+    let n = scheme.n();
+    known(source, n)?;
+    known(dest, n)?;
     let mut header = scheme.init_header(source, label)?;
     let mut at = source;
     let mut weight: Weight = 0;
@@ -181,18 +185,14 @@ pub fn simulate_lean_with_label(
 
     loop {
         match scheme.decide(at, &mut header, label)? {
-            Decision::Deliver => {
-                if at != dest {
-                    return Err(RouteError::DeliveredAtWrongVertex { at, destination: dest });
-                }
-                record_delivery(hops, max_header_words);
+            Decision::Deliver if at == dest => {
                 return Ok(LeanOutcome { weight, hops, max_header_words });
             }
+            Decision::Deliver => {
+                return Err(RouteError::DeliveredAtWrongVertex { at, destination: dest });
+            }
             Decision::Forward(port) => {
-                // Mirrors simulate_with_ttl's `path.len() > max_hops` check
-                // (path.len() == hops + 1) so both variants fail the same
-                // query at the same hop.
-                if hops + 1 > max_hops {
+                if hops >= max_hops {
                     return Err(RouteError::HopBudgetExceeded { budget: max_hops });
                 }
                 if port.index() >= g.degree(at) {
@@ -201,7 +201,9 @@ pub fn simulate_lean_with_label(
                 let edge = g.neighbor_at(at, port);
                 weight += edge.weight;
                 at = edge.to;
+                known(at, n)?;
                 hops += 1;
+                on_hop(at);
                 max_header_words = max_header_words.max(header.words());
             }
         }
@@ -299,7 +301,7 @@ mod tests {
         let ttl = 4 * g.n() + 16;
         for u in g.vertices() {
             for v in g.vertices() {
-                let full = simulate_with_ttl(&g, &s, u, v, ttl).unwrap();
+                let full = simulate(&g, &s, u, v).unwrap();
                 let lean = simulate_lean(&g, &s, u, v, ttl).unwrap();
                 assert_eq!(lean.weight, full.weight);
                 assert_eq!(lean.hops, full.hops);
@@ -308,8 +310,9 @@ mod tests {
         }
         // Both variants fail identically at the same hop budget.
         let cyc = generators::cycle(3);
-        let full = simulate_with_ttl(&cyc, &LoopScheme, VertexId(0), VertexId(2), 10).unwrap_err();
-        let lean = simulate_lean(&cyc, &LoopScheme, VertexId(0), VertexId(2), 10).unwrap_err();
+        let full = simulate(&cyc, &LoopScheme, VertexId(0), VertexId(2)).unwrap_err();
+        let lean = simulate_lean(&cyc, &LoopScheme, VertexId(0), VertexId(2), 4 * 3 + 16)
+            .unwrap_err();
         assert_eq!(full, lean);
     }
 
@@ -376,7 +379,7 @@ mod tests {
     #[test]
     fn loops_hit_the_hop_budget() {
         let g = generators::cycle(3);
-        let err = simulate_with_ttl(&g, &LoopScheme, VertexId(0), VertexId(2), 10).unwrap_err();
+        let err = simulate_lean(&g, &LoopScheme, VertexId(0), VertexId(2), 10).unwrap_err();
         assert_eq!(err, RouteError::HopBudgetExceeded { budget: 10 });
     }
 

@@ -23,15 +23,14 @@
 //! routing scheme could deliver those, so they are excluded from the
 //! reachability denominator.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use routing_graph::{DistanceOracle, Graph, VertexId, Weight};
+use routing_graph::{DistanceOracle, Graph, VertexId};
 
 use crate::erased::DynScheme;
-use crate::scheme::Decision;
+use crate::simulator::{label_checked, walk};
 use crate::stats::StretchStats;
+use crate::RouteError;
 
 /// Why a routed pair failed to be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,6 +63,21 @@ pub struct FailureBreakdown {
     pub unknown_vertex: usize,
     /// Internal scheme errors.
     pub scheme_error: usize,
+}
+
+impl FailureKind {
+    /// Classifies a walk error. The walker's own rule violations map to
+    /// their kind; anything the scheme itself raised is a
+    /// [`FailureKind::SchemeError`].
+    fn of(e: &RouteError) -> Self {
+        match e {
+            RouteError::InvalidPort { .. } => FailureKind::InvalidPort,
+            RouteError::DeliveredAtWrongVertex { .. } => FailureKind::WrongDelivery,
+            RouteError::HopBudgetExceeded { .. } => FailureKind::HopBudget,
+            RouteError::UnknownVertex { .. } => FailureKind::UnknownVertex,
+            _ => FailureKind::SchemeError,
+        }
+    }
 }
 
 impl FailureBreakdown {
@@ -167,9 +181,10 @@ impl ResilienceReport {
 /// pairs' distinct sources, which keeps the per-round ground-truth cost at
 /// `O(|sources|·(m + n log n))` instead of the dense matrix's `O(n^2)`.
 ///
-/// Both endpoints of every pair must be vertices the scheme was built for
-/// (`id < scheme.n()`); [`sample_alive_pairs`] over a mask restricted to
-/// known vertices guarantees this.
+/// The walk is [`crate::simulate`]'s, with every error classified into a
+/// [`FailureKind`] instead of propagated. Deliveries here do not count
+/// towards the strict `routing_queries_total` telemetry; failures count
+/// towards the `churn_fail_*` counters instead.
 pub fn route_pairs_lossy<O: DistanceOracle>(
     g: &Graph,
     scheme: &dyn DynScheme,
@@ -191,92 +206,23 @@ pub fn route_pairs_lossy<O: DistanceOracle>(
                 continue;
             }
         };
-        match walk_guarded(g, scheme, u, v) {
-            Ok(weight) => {
+        let walked = label_checked(scheme, v)
+            .and_then(|label| walk(g, scheme, u, v, &label, 4 * g.n() + 16, |_| {}));
+        match walked {
+            Ok(out) => {
                 report.delivered += 1;
-                report.stretch.record(weight, true_dist);
+                report.stretch.record(out.weight, true_dist);
             }
-            Err(kind) => report.failures.record(kind),
+            Err(e) => report.failures.record(FailureKind::of(&e)),
         }
     }
     report
 }
 
-/// A lossy variant of [`crate::simulate`]: walks a message hop by hop but
-/// classifies every way a stale route can die instead of erroring, and —
-/// crucially — refuses to consult the scheme at a vertex it was not built
-/// for (`id >= scheme.n()`), which on a mutated graph is reachable through
-/// a stale port. Returns the traversed weight on delivery.
-fn walk_guarded(
-    g: &Graph,
-    scheme: &dyn DynScheme,
-    source: VertexId,
-    dest: VertexId,
-) -> Result<Weight, FailureKind> {
-    debug_assert!(source.index() < scheme.n() && dest.index() < scheme.n());
-    let label = scheme.label_of(dest);
-    let mut header = scheme.init_header(source, &label).map_err(|_| FailureKind::SchemeError)?;
-    let max_hops = 4 * g.n() + 16;
-    let mut at = source;
-    let mut weight: Weight = 0;
-    let mut hops = 0usize;
-    loop {
-        if at.index() >= scheme.n() {
-            return Err(FailureKind::UnknownVertex);
-        }
-        match scheme.decide(at, &mut header, &label).map_err(|_| FailureKind::SchemeError)? {
-            Decision::Deliver => {
-                return if at == dest { Ok(weight) } else { Err(FailureKind::WrongDelivery) };
-            }
-            Decision::Forward(port) => {
-                if hops >= max_hops {
-                    return Err(FailureKind::HopBudget);
-                }
-                if port.index() >= g.degree(at) {
-                    return Err(FailureKind::InvalidPort);
-                }
-                let edge = g.neighbor_at(at, port);
-                weight += edge.weight;
-                at = edge.to;
-                hops += 1;
-            }
-        }
-    }
-}
-
-/// Samples `count` ordered pairs with both endpoints alive (and distinct),
-/// uniformly at random. Returns fewer than `count` only when fewer than two
-/// vertices are alive.
-pub fn sample_alive_pairs<R: Rng>(
-    alive: &[bool],
-    count: usize,
-    rng: &mut R,
-) -> Vec<(VertexId, VertexId)> {
-    let ids: Vec<VertexId> = alive
-        .iter()
-        .enumerate()
-        .filter(|&(_, &a)| a)
-        .map(|(i, _)| VertexId(i as u32))
-        .collect();
-    if ids.len() < 2 {
-        return Vec::new();
-    }
-    let mut pairs = Vec::with_capacity(count);
-    while pairs.len() < count {
-        let u = *ids.choose(rng).expect("alive vertices exist");
-        let v = *ids.choose(rng).expect("alive vertices exist");
-        if u != v {
-            pairs.push((u, v));
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{HeaderSize, RoutingScheme};
-    use crate::RouteError;
+    use crate::scheme::{Decision, HeaderSize, RoutingScheme};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use routing_graph::apsp::DistanceMatrix;
@@ -355,7 +301,8 @@ mod tests {
         let scheme = FullTable::build(&g);
         let exact = DistanceMatrix::new(&g);
         let mut rng = StdRng::seed_from_u64(3);
-        let pairs = sample_alive_pairs(&vec![true; g.n()], 100, &mut rng);
+        let ids: Vec<VertexId> = g.vertices().collect();
+        let pairs = crate::sample_pairs_from(&ids, &ids, 100, &mut rng);
         let report = route_pairs_lossy(&g, &scheme, &exact, &pairs);
         assert_eq!(report.delivered, 100);
         assert_eq!(report.reachability(), 1.0);
@@ -418,16 +365,72 @@ mod tests {
         assert_eq!(report.absolute_reachability(), 0.0);
     }
 
-    #[test]
-    fn sampled_pairs_avoid_dead_vertices() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let alive = vec![true, false, true, true, false];
-        let pairs = sample_alive_pairs(&alive, 50, &mut rng);
-        assert_eq!(pairs.len(), 50);
-        for (u, v) in pairs {
-            assert!(alive[u.index()] && alive[v.index()]);
-            assert_ne!(u, v);
+    /// A scheme of `n` vertices that answers every `decide` the same way —
+    /// enough to drive the walker into each failure class on demand.
+    struct Scripted {
+        n: usize,
+        decision: Option<Decision>,
+    }
+
+    impl RoutingScheme for Scripted {
+        type Label = VertexId;
+        type Header = H;
+        fn name(&self) -> &str {
+            "scripted"
         }
-        assert!(sample_alive_pairs(&[true, false], 5, &mut rng).is_empty());
+        fn n(&self) -> usize {
+            self.n
+        }
+        fn label_of(&self, v: VertexId) -> VertexId {
+            v
+        }
+        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<H, RouteError> {
+            Ok(H)
+        }
+        fn decide(&self, at: VertexId, _: &mut H, _: &VertexId) -> Result<Decision, RouteError> {
+            self.decision.ok_or(RouteError::MissingInformation { at, what: "scripted".into() })
+        }
+        fn table_words(&self, _: VertexId) -> usize {
+            0
+        }
+        fn label_words(&self, _: VertexId) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn every_walk_error_maps_to_its_failure_kind() {
+        let forward = |p| Some(Decision::Forward(Port(p)));
+        // (graph, scheme, expected class) for the pair 0 -> 1. On cycle(3)
+        // vertex 0's ports lead to 1 then 2, and vertex 1's port 0 leads
+        // back to 0.
+        let cases = [
+            (generators::path(3), Scripted { n: 3, decision: forward(99) }, FailureKind::InvalidPort),
+            (
+                generators::path(3),
+                Scripted { n: 3, decision: Some(Decision::Deliver) },
+                FailureKind::WrongDelivery,
+            ),
+            (generators::cycle(3), Scripted { n: 3, decision: forward(0) }, FailureKind::HopBudget),
+            // A 2-vertex scheme on a 3-vertex graph: port 1 at vertex 0
+            // leads into vertex 2, which joined after the tables were built.
+            (generators::cycle(3), Scripted { n: 2, decision: forward(1) }, FailureKind::UnknownVertex),
+            (generators::path(3), Scripted { n: 3, decision: None }, FailureKind::SchemeError),
+        ];
+        for (g, scheme, kind) in cases {
+            let exact = DistanceMatrix::new(&g);
+            let pair = (VertexId(0), VertexId(1));
+            let report = route_pairs_lossy(&g, &scheme, &exact, &[pair]);
+            let mut want = FailureBreakdown::default();
+            match kind {
+                FailureKind::InvalidPort => want.invalid_port = 1,
+                FailureKind::WrongDelivery => want.wrong_delivery = 1,
+                FailureKind::HopBudget => want.hop_budget = 1,
+                FailureKind::UnknownVertex => want.unknown_vertex = 1,
+                FailureKind::SchemeError => want.scheme_error = 1,
+            }
+            assert_eq!(report.failures, want, "{kind:?}");
+            assert_eq!(report.delivered, 0, "{kind:?}");
+        }
     }
 }

@@ -2,10 +2,9 @@
 //! hex digits): constant-time recording, mergeable across shards, and
 //! quantile queries with a bounded relative error of `1/16`.
 //!
-//! Promoted out of `routing-serve` (which re-exports it for compatibility)
-//! so the churn and bench harnesses can histogram through the same type,
-//! and so the exporters in [`crate::export`] have one histogram shape to
-//! render.
+//! It lives in the telemetry crate so the serving engine and the churn and
+//! bench harnesses histogram through the same type, and so the exporters in
+//! [`crate::export`] have one histogram shape to render.
 //!
 //! Per-query latencies on the serving hot path span five orders of
 //! magnitude (sub-microsecond cache hits to multi-millisecond cold routes),

@@ -48,7 +48,7 @@
 //!    [`export::spans_json`]/[`export::spans_text`] render a span forest.
 //!
 //! The [`LatencyHistogram`] (HDR-style log-linear, mergeable) lives here
-//! too — promoted out of `routing-serve`, which re-exports it.
+//! too, shared by the serving engine and the churn and bench harnesses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -38,11 +38,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use routing_graph::{Graph, VertexId, Weight};
-use routing_model::{
-    simulate_lean_with_label, simulate_with_ttl, DynScheme, ErasedLabel, RouteError,
-};
+use routing_model::{simulate_lean_with_label, DynScheme, ErasedLabel, RouteError};
+use routing_obs::LatencyHistogram;
 
-use crate::latency::LatencyHistogram;
 use crate::snapshot::{EpochCell, SchemeSnapshot};
 
 /// Errors surfaced by the serving engine.
@@ -131,25 +129,18 @@ const _: () = assert_send_sync_static::<ServeError>();
 pub struct EngineConfig {
     /// Number of worker shards (clamped to at least 1).
     pub shards: usize,
-    /// Record the full traversed path in every answer. Off on the serving
-    /// hot path (the path is the only per-query allocation); on in the
-    /// equivalence and stress suites, which compare paths hop by hop.
-    pub record_paths: bool,
-    /// Hop budget per query; `None` uses the simulator default
-    /// (`4·n + 16`).
-    pub max_hops: Option<usize>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { shards: 1, record_paths: false, max_hops: None }
+        EngineConfig { shards: 1 }
     }
 }
 
 impl EngineConfig {
-    /// A config with `shards` worker shards and defaults elsewhere.
+    /// A config with `shards` worker shards.
     pub fn with_shards(shards: usize) -> Self {
-        EngineConfig { shards, ..EngineConfig::default() }
+        EngineConfig { shards }
     }
 }
 
@@ -157,8 +148,9 @@ impl EngineConfig {
 ///
 /// Bit-for-bit identical to what direct single-threaded routing through
 /// the same snapshot produces ([`routing_model::simulate`] /
-/// [`routing_model::simulate_lean`]); the epoch and shard fields add
-/// *provenance*, never different routing.
+/// [`routing_model::simulate_lean`], with the default `4·n + 16` hop
+/// budget); the epoch and shard fields add *provenance*, never different
+/// routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteAnswer {
     /// Total weight of the traversed path.
@@ -171,8 +163,6 @@ pub struct RouteAnswer {
     pub epoch: u64,
     /// Shard that routed the query (the owner of its source).
     pub shard: usize,
-    /// The traversed path, when [`EngineConfig::record_paths`] is on.
-    pub path: Option<Vec<VertexId>>,
 }
 
 /// Per-shard serving statistics, as accumulated by the worker thread.
@@ -230,7 +220,7 @@ pub struct ShardedEngine {
     senders: Vec<mpsc::Sender<ShardMsg>>,
     handles: Vec<JoinHandle<()>>,
     n: usize,
-    config: EngineConfig,
+    shards: usize,
 }
 
 // The whole point of the engine: one instance, shared by reference across
@@ -261,7 +251,6 @@ impl ShardedEngine {
             });
         }
         let shards = config.shards.max(1);
-        let config = EngineConfig { shards, ..config };
         let cell = Arc::new(EpochCell::new(graph, scheme));
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
@@ -270,17 +259,17 @@ impl ShardedEngine {
             let cell = Arc::clone(&cell);
             let handle = std::thread::Builder::new()
                 .name(format!("serve-shard-{shard}"))
-                .spawn(move || worker(shard, rx, cell, config))
+                .spawn(move || worker(shard, rx, cell))
                 .map_err(|_| ServeError::WorkerSpawn { shard })?;
             senders.push(tx);
             handles.push(handle);
         }
-        Ok(ShardedEngine { cell, senders, handles, n, config })
+        Ok(ShardedEngine { cell, senders, handles, n, shards })
     }
 
     /// Number of worker shards.
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.shards
     }
 
     /// Number of vertices of the served vertex space.
@@ -310,7 +299,7 @@ impl ShardedEngine {
         if v.index() >= self.n {
             return Err(ServeError::UnknownVertex { vertex: v.index(), n: self.n });
         }
-        Ok(v.index() * self.config.shards / self.n)
+        Ok(v.index() * self.shards / self.n)
     }
 
     /// Publishes a rebuilt `(graph, scheme)` pair as the next epoch and
@@ -369,7 +358,7 @@ impl ShardedEngine {
             pairs.iter().map(|_| None).collect();
         // slot -> owning shard, for attributing failures when a shard dies.
         let mut slot_shard = vec![0usize; pairs.len()];
-        let mut per_shard: Vec<Vec<Job>> = (0..self.config.shards).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<Vec<Job>> = (0..self.shards).map(|_| Vec::new()).collect();
         for (slot, &(source, dest)) in pairs.iter().enumerate() {
             if dest.index() >= self.n {
                 out[slot] =
@@ -450,7 +439,7 @@ impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("n", &self.n)
-            .field("shards", &self.config.shards)
+            .field("shards", &self.shards)
             .field("epoch", &self.epoch())
             .finish()
     }
@@ -458,7 +447,7 @@ impl std::fmt::Debug for ShardedEngine {
 
 /// The shard worker loop: route batches under one snapshot each, answer
 /// stats probes, exit when the engine drops the channel.
-fn worker(shard: usize, rx: mpsc::Receiver<ShardMsg>, cell: Arc<EpochCell>, config: EngineConfig) {
+fn worker(shard: usize, rx: mpsc::Receiver<ShardMsg>, cell: Arc<EpochCell>) {
     let mut stats = ShardStats::new(shard);
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -478,7 +467,7 @@ fn worker(shard: usize, rx: mpsc::Receiver<ShardMsg>, cell: Arc<EpochCell>, conf
                 // nanosecond of the loop attributed to exactly one query.
                 let mut prev = Instant::now();
                 for job in &jobs {
-                    let answer = route_one(&snap, job, &config, shard, &mut cached);
+                    let answer = route_one(&snap, job, shard, &mut cached);
                     let now = Instant::now();
                     stats.latency.record(now.duration_since(prev).as_nanos() as u64);
                     prev = now;
@@ -500,29 +489,16 @@ fn worker(shard: usize, rx: mpsc::Receiver<ShardMsg>, cell: Arc<EpochCell>, conf
     }
 }
 
-/// Routes one job under one snapshot. The lean path reuses the cached
-/// erased label when the destination repeats (jobs arrive dest-sorted).
+/// Routes one job under one snapshot, reusing the cached erased label when
+/// the destination repeats (jobs arrive dest-sorted).
 fn route_one(
     snap: &SchemeSnapshot,
     job: &Job,
-    config: &EngineConfig,
     shard: usize,
     cached: &mut Option<(VertexId, ErasedLabel)>,
 ) -> Result<RouteAnswer, ServeError> {
     let g = snap.graph();
     let scheme = snap.scheme();
-    let max_hops = config.max_hops.unwrap_or(4 * g.n() + 16);
-    if config.record_paths {
-        let out = simulate_with_ttl(g, scheme, job.source, job.dest, max_hops)?;
-        return Ok(RouteAnswer {
-            weight: out.weight,
-            hops: out.hops,
-            max_header_words: out.max_header_words,
-            epoch: snap.epoch(),
-            shard,
-            path: Some(out.path),
-        });
-    }
     let label = match cached {
         Some((d, label)) if *d == job.dest => {
             routing_obs::counters::SERVE_LABEL_CACHE_HITS.inc();
@@ -534,14 +510,13 @@ fn route_one(
             &slot.insert((job.dest, label)).1
         }
     };
-    let out = simulate_lean_with_label(g, scheme, job.source, job.dest, label, max_hops)?;
+    let out = simulate_lean_with_label(g, scheme, job.source, job.dest, label, 4 * g.n() + 16)?;
     Ok(RouteAnswer {
         weight: out.weight,
         hops: out.hops,
         max_header_words: out.max_header_words,
         epoch: snap.epoch(),
         shard,
-        path: None,
     })
 }
 
@@ -579,22 +554,6 @@ mod tests {
             assert_eq!(got.max_header_words, want.max_header_words);
             assert_eq!(got.epoch, 1);
             assert_eq!(got.shard, engine.owner_of(u).unwrap());
-            assert_eq!(got.path, None);
-        }
-    }
-
-    #[test]
-    fn recorded_paths_match_the_full_simulator() {
-        let (g, scheme) = build(60, "warmup", 3);
-        let config = EngineConfig { shards: 2, record_paths: true, max_hops: None };
-        let engine = ShardedEngine::new(Arc::clone(&g), Arc::clone(&scheme), config).unwrap();
-        let pairs: Vec<(VertexId, VertexId)> =
-            (0..60u32).map(|i| (VertexId(i), VertexId((i * 7 + 1) % 60))).collect();
-        for (answer, &(u, v)) in engine.route_batch(&pairs).iter().zip(&pairs) {
-            let want = simulate(&g, scheme.as_ref(), u, v).unwrap();
-            let got = answer.as_ref().unwrap();
-            assert_eq!(got.path.as_ref().unwrap(), &want.path);
-            assert_eq!(got.weight, want.weight);
         }
     }
 

@@ -22,9 +22,9 @@
 //!   [`routing_model::simulate_lean_with_label`] path.
 //! - [`ZipfWorkload`] — a seeded, byte-reproducible Zipf-skewed load
 //!   generator for stress tests and benches.
-//! - [`LatencyHistogram`] — HDR-style log-linear histogram backing the
-//!   per-shard p50/p99/p999 latency accounting in [`ShardStats`]
-//!   (re-exported from `routing-obs`, the workspace telemetry crate, which
+//! - [`ShardStats`] — per-shard accounting, including a
+//!   [`routing_obs::LatencyHistogram`] of per-query latency for the
+//!   p50/p99/p999 report (`routing-obs`, the workspace telemetry crate,
 //!   also hosts the serving-path counters this crate increments:
 //!   label-cache hits, epoch swaps, snapshot loads).
 //!
@@ -37,11 +37,9 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod latency;
 pub mod load;
 pub mod snapshot;
 
 pub use engine::{EngineConfig, RouteAnswer, ServeError, ShardStats, ShardedEngine};
-pub use latency::LatencyHistogram;
 pub use load::ZipfWorkload;
 pub use snapshot::{EpochCell, SchemeSnapshot};

@@ -206,6 +206,31 @@ mod tests {
     }
 
     #[test]
+    fn every_default_scheme_rejects_out_of_range_endpoints() {
+        use routing_graph::VertexId;
+        use routing_model::{simulate, simulate_lean, simulate_lean_with_label, RouteError};
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = Family::ErdosRenyi.generate(60, WeightModel::Unit, &mut rng);
+        let r = SchemeRegistry::with_defaults();
+        let ctx = BuildContext { seed: 9, threads: 1, ..BuildContext::default() };
+        let (inside, budget) = (VertexId(7), 4 * g.n() + 16);
+        for key in r.names() {
+            let scheme = r.build(key, &g, &ctx).unwrap_or_else(|e| panic!("{key}: {e}"));
+            let s = scheme.as_ref();
+            let label = s.label_of(inside);
+            for outside in [VertexId(60), VertexId(500)] {
+                let want = Err(RouteError::UnknownVertex { at: outside, n: 60 });
+                for (u, v) in [(outside, inside), (inside, outside)] {
+                    assert_eq!(simulate(&g, s, u, v).map(|o| o.weight), want, "{key}");
+                    assert_eq!(simulate_lean(&g, s, u, v, budget).map(|o| o.weight), want, "{key}");
+                }
+                let lean = simulate_lean_with_label(&g, s, outside, inside, &label, budget);
+                assert_eq!(lean.map(|o| o.weight), want, "{key}");
+            }
+        }
+    }
+
+    #[test]
     fn unknown_keys_are_reported_as_unknown_scheme() {
         let r = SchemeRegistry::with_defaults();
         let g = routing_graph::generators::path(4);
