@@ -11,8 +11,10 @@
 //! `simulate` call per query, same machine, same run) anchors the
 //! comparison; each `serve` row carries its speedup against that anchor.
 //!
-//! The engine's throughput edge on a small machine is *not* parallelism
-//! (CI runs this on one core): it is the batched lean path — no per-query
+//! The engine routes every batch on the reader thread that submitted it,
+//! so the readers supply all of the parallelism and `--shards` only
+//! partitions the per-shard statistics. On top of that parallelism the
+//! engine's edge over the anchor is the batched lean path — no per-query
 //! path allocation, one snapshot load per batch, and one label erasure per
 //! destination run in a dest-sorted batch — which is exactly what the
 //! serving layer exists to amortize.
@@ -108,7 +110,7 @@ struct Row {
     n: usize,
     m: usize,
     scheme: String,
-    /// Worker shards (`null` for the anchor row).
+    /// Shards of the stats partition (`null` for the anchor row).
     shards: Option<usize>,
     /// Concurrent reader threads (`null` for the anchor row).
     readers: Option<usize>,

@@ -25,6 +25,16 @@ pub enum GraphError {
         /// The other endpoint of the offending edge.
         v: usize,
     },
+    /// An edge weight above [`crate::MAX_WEIGHT`] was supplied; heavier
+    /// edges could overflow distance sums.
+    WeightTooLarge {
+        /// One endpoint of the offending edge.
+        u: usize,
+        /// The other endpoint of the offending edge.
+        v: usize,
+        /// The rejected weight.
+        weight: crate::Weight,
+    },
     /// The graph is not connected but the operation requires connectivity.
     Disconnected,
 }
@@ -39,6 +49,11 @@ impl fmt::Display for GraphError {
             GraphError::ZeroWeight { u, v } => {
                 write!(f, "edge ({u}, {v}) has zero weight; weights must be positive")
             }
+            GraphError::WeightTooLarge { u, v, weight } => write!(
+                f,
+                "edge ({u}, {v}) has weight {weight}, above the maximum {}",
+                crate::MAX_WEIGHT
+            ),
             GraphError::Disconnected => write!(f, "graph is not connected"),
         }
     }
@@ -64,6 +79,8 @@ mod tests {
         assert!(e.to_string().contains("self loop"));
         let e = GraphError::ZeroWeight { u: 1, v: 2 };
         assert!(e.to_string().contains("zero weight"));
+        let e = GraphError::WeightTooLarge { u: 1, v: 2, weight: 1 << 40 };
+        assert!(e.to_string().contains("above the maximum"));
         assert_eq!(GraphError::Disconnected.to_string(), "graph is not connected");
     }
 

@@ -13,15 +13,16 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{Graph, GraphBuilder, Weight};
+use crate::{Graph, GraphBuilder, Weight, MAX_WEIGHT};
 
 /// How edge weights are assigned by a generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightModel {
     /// Every edge has weight 1 (the paper's "unweighted" setting).
     Unit,
-    /// Weights drawn uniformly from `lo..=hi` (both at least 1). The ratio
-    /// `hi / lo` controls the normalized diameter `D` of the instance.
+    /// Weights drawn uniformly from `lo..=hi` (both clamped into
+    /// `1..=MAX_WEIGHT`). The ratio `hi / lo` controls the normalized
+    /// diameter `D` of the instance.
     Uniform {
         /// Smallest possible weight (>= 1).
         lo: Weight,
@@ -35,8 +36,8 @@ impl WeightModel {
         match self {
             WeightModel::Unit => 1,
             WeightModel::Uniform { lo, hi } => {
-                let lo = lo.max(1);
-                let hi = hi.max(lo);
+                let lo = lo.clamp(1, MAX_WEIGHT);
+                let hi = hi.clamp(lo, MAX_WEIGHT);
                 rng.gen_range(lo..=hi)
             }
         }

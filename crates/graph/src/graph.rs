@@ -62,6 +62,16 @@ pub type Weight = u64;
 /// Sentinel distance for "unreachable".
 pub const INFINITY: Weight = Weight::MAX;
 
+/// The largest accepted edge weight, `2^31`.
+///
+/// Vertex ids are `u32`, so a simple path has fewer than `2^32` edges and
+/// its weight is below `2^32 · 2^31 = 2^63`. Every shortest distance is
+/// therefore below `2^63`, the sum of any two distances stays below
+/// [`INFINITY`], and the unchecked `d + w` of the search kernels can neither
+/// wrap nor collide with the sentinel. [`GraphBuilder::add_edge`] and
+/// [`crate::mutate`] reject heavier edges.
+pub const MAX_WEIGHT: Weight = 1 << 31;
+
 /// A reference to one directed half of an undirected edge, as seen from the
 /// vertex whose adjacency list it lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,7 +276,7 @@ impl GraphBuilder {
     /// # Errors
     ///
     /// Returns an error if an endpoint is out of range, the edge is a self
-    /// loop, or the weight is zero.
+    /// loop, or the weight is zero or above [`MAX_WEIGHT`].
     pub fn add_edge(&mut self, u: usize, v: usize, w: Weight) -> Result<(), GraphError> {
         if u >= self.n {
             return Err(GraphError::VertexOutOfRange { vertex: u, n: self.n });
@@ -279,6 +289,9 @@ impl GraphBuilder {
         }
         if w == 0 {
             return Err(GraphError::ZeroWeight { u, v });
+        }
+        if w > MAX_WEIGHT {
+            return Err(GraphError::WeightTooLarge { u, v, weight: w });
         }
         self.edges.push((u as u32, v as u32, w));
         Ok(())
@@ -371,6 +384,26 @@ mod tests {
         );
         assert_eq!(b.add_edge(1, 1, 1), Err(GraphError::SelfLoop { vertex: 1 }));
         assert_eq!(b.add_edge(0, 1, 0), Err(GraphError::ZeroWeight { u: 0, v: 1 }));
+        assert_eq!(
+            b.add_edge(0, 1, MAX_WEIGHT + 1),
+            Err(GraphError::WeightTooLarge { u: 0, v: 1, weight: MAX_WEIGHT + 1 })
+        );
+        assert_eq!(b.edge_count(), 0);
+        assert_eq!(b.add_edge(0, 1, MAX_WEIGHT), Ok(()));
+    }
+
+    #[test]
+    fn heaviest_edges_give_exact_distances() {
+        let n = 64;
+        let mut b = GraphBuilder::new(n);
+        for i in 1..n {
+            b.add_edge(i - 1, i, MAX_WEIGHT).unwrap();
+        }
+        let g = b.build();
+        let sp = crate::shortest_path::dijkstra(&g, VertexId(0));
+        for i in 0..n {
+            assert_eq!(sp.dist(VertexId(i as u32)), Some(i as Weight * MAX_WEIGHT));
+        }
     }
 
     #[test]

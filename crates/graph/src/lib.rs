@@ -71,6 +71,6 @@ pub mod shortest_path;
 pub use apsp::DistanceOracle;
 pub use error::GraphError;
 pub use scratch::SearchScratch;
-pub use graph::{EdgeRef, Graph, GraphBuilder, Port, VertexId, Weight, INFINITY};
+pub use graph::{EdgeRef, Graph, GraphBuilder, Port, VertexId, Weight, INFINITY, MAX_WEIGHT};
 pub use mutate::{ChurnEvent, Mutation, MutationError, MutationStats};
 pub use sampled::SampledDistances;

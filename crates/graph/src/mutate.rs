@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use crate::{Graph, GraphBuilder, VertexId, Weight};
+use crate::{Graph, GraphBuilder, VertexId, Weight, MAX_WEIGHT};
 
 /// One atomic change to the graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,8 @@ pub enum MutationError {
         /// The other endpoint.
         v: VertexId,
     },
-    /// An added edge was a self loop or had weight zero.
+    /// An added edge was a self loop or had a weight outside
+    /// `1..=MAX_WEIGHT`.
     InvalidEdge {
         /// Description of the violation.
         what: String,
@@ -214,9 +215,11 @@ pub fn apply_events(
                 let id = VertexId(alive.len() as u32);
                 for &(u, w) in edges {
                     check_alive(&alive, u)?;
-                    if w == 0 {
+                    if w == 0 || w > MAX_WEIGHT {
                         return Err(MutationError::InvalidEdge {
-                            what: format!("edge ({id}, {u}) has weight 0"),
+                            what: format!(
+                                "edge ({id}, {u}) has weight {w} outside 1..={MAX_WEIGHT}"
+                            ),
                         });
                     }
                 }
@@ -256,9 +259,9 @@ pub fn apply_events(
                         what: format!("self loop at {u}"),
                     });
                 }
-                if *w == 0 {
+                if *w == 0 || *w > MAX_WEIGHT {
                     return Err(MutationError::InvalidEdge {
-                        what: format!("edge ({u}, {v}) has weight 0"),
+                        what: format!("edge ({u}, {v}) has weight {w} outside 1..={MAX_WEIGHT}"),
                     });
                 }
                 if adj[u.index()].iter().any(|&(x, _)| x == *v) {
@@ -491,6 +494,18 @@ mod tests {
         let err = apply_events(&g, None, &[ChurnEvent::AddEdge(VertexId(0), VertexId(1), 1)])
             .unwrap_err();
         assert_eq!(err, MutationError::DuplicateEdge { u: VertexId(0), v: VertexId(1) });
+        // Weights above the ceiling are rejected, not passed on to the
+        // builder (which would refuse them).
+        let heavy = MAX_WEIGHT + 1;
+        for event in [
+            ChurnEvent::AddEdge(VertexId(0), VertexId(2), heavy),
+            ChurnEvent::AddVertex { edges: vec![(VertexId(0), heavy)] },
+        ] {
+            let err = apply_events(&g, None, &[event]).unwrap_err();
+            assert!(matches!(err, MutationError::InvalidEdge { .. }), "{err:?}");
+        }
+        let heaviest = ChurnEvent::AddEdge(VertexId(0), VertexId(2), MAX_WEIGHT);
+        assert!(apply_events(&g, None, &[heaviest]).is_ok());
     }
 
     #[test]

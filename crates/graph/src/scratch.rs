@@ -25,7 +25,7 @@
 //! * the priority queue is a monotone **bucket queue** (Dial's algorithm
 //!   with a 64-distance circular window tracked by one occupancy bitmask)
 //!   backed by a binary-heap overflow for pushes beyond the window, all
-//!   kept allocated between searches — see [`SearchScratch::queue_pop`]'s
+//!   kept allocated between searches — see `SearchScratch::queue_pop`'s
 //!   source for why its pop order is bit-identical to a binary heap's;
 //! * the settle order (the `(distance, id)`-sorted vertex sequence every
 //!   bounded search is defined by) is recorded in a reusable buffer.

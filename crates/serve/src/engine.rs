@@ -1,40 +1,38 @@
-//! The sharded engine: resident worker threads, batched routing, and
+//! The sharded engine: batched routing on the caller's thread, and
 //! per-shard accounting.
 //!
 //! # Shard layout
 //!
 //! The vertex space `0..n` is partitioned into `S` contiguous ranges;
 //! shard `s` **owns every query whose source it is resident for**
-//! (`owner = source * S / n`). Ownership is by source because that is the
-//! natural partition for the ROADMAP's deployment story: a shard holds the
-//! routing state of its resident vertices and answers the queries they
-//! inject. Destinations are described by labels, which travel with the
-//! query — exactly the compact-routing contract (a label is everything a
-//! source needs to know about a destination).
+//! (`owner = source * S / n`): in the deployment story a shard holds the
+//! routing state of its resident vertices, while destinations are
+//! described by labels that travel with the query. Here the partition only
+//! decides which shard's [`ShardStats`] account for a query and which
+//! shard its [`RouteAnswer`] names.
 //!
 //! # Batched queries
 //!
-//! [`ShardedEngine::route_batch`] partitions a batch by owner shard in one
-//! pass, ships one message per involved shard, and reassembles answers in
-//! input order. Within a shard's sub-batch, jobs are sorted by destination
-//! so consecutive queries towards the same destination reuse one erased
-//! label (label erasure is the only allocation on the lean query path).
-//! Each sub-batch is routed entirely under **one** snapshot, loaded once
-//! per batch — so every answer in it carries the same epoch and the
-//! per-query cost of the epoch machinery is one `Arc` clone amortized over
-//! the whole sub-batch.
+//! Routing reads only `(table, header, label)`, so a snapshot is an
+//! immutable, `Send + Sync` object any thread can route on, and
+//! [`ShardedEngine::route_batch`] routes on the calling thread. It loads
+//! **one** snapshot per batch (every answer carries the same epoch),
+//! groups the queries by owner shard, and routes each sub-batch in
+//! destination order so consecutive queries towards the same destination
+//! reuse one erased label (label erasure is the only allocation on the
+//! lean query path). Concurrent readers supply the parallelism and share
+//! only the snapshot and, once per sub-batch, the owner's stats lock.
 //!
 //! # Hot swap
 //!
 //! [`ShardedEngine::publish`] installs a rebuilt `(graph, scheme)` pair as
-//! the next epoch without stopping traffic: in-flight sub-batches finish on
-//! the snapshot they loaded (kept alive by its `Arc`s), later sub-batches
-//! load the new one. The concurrency stress test in `tests/stress.rs`
-//! drives M reader threads against concurrent publishes and asserts every
-//! answer is exactly the answer of *some* published epoch.
+//! the next epoch without stopping traffic: in-flight batches finish on
+//! the snapshot they loaded (kept alive by its `Arc`s), later batches load
+//! the new one. `tests/stress.rs` drives M reader threads against
+//! concurrent publishes and asserts every answer is exactly the answer of
+//! *some* published epoch.
 
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use routing_graph::{Graph, VertexId, Weight};
@@ -64,21 +62,9 @@ pub enum ServeError {
         /// Vertex count the engine serves.
         engine_n: usize,
     },
-    /// A shard worker is gone (its thread exited); the engine is broken.
-    ShardUnavailable {
-        /// The shard that did not answer.
-        shard: usize,
-    },
     /// The scheme failed to route the query (a scheme bug, surfaced rather
     /// than swallowed).
     Route(RouteError),
-    /// The OS refused to spawn a shard worker thread at engine startup
-    /// (resource exhaustion; the underlying `io::Error` is not carried
-    /// because `ServeError` is `Clone + Eq` for cross-channel reporting).
-    WorkerSpawn {
-        /// The shard whose worker could not be spawned.
-        shard: usize,
-    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -92,13 +78,7 @@ impl std::fmt::Display for ServeError {
                 "snapshot mismatch: graph has {graph_n} vertices, scheme was built for \
                  {scheme_n}, engine serves {engine_n}"
             ),
-            ServeError::ShardUnavailable { shard } => {
-                write!(f, "shard {shard} is unavailable (worker thread exited)")
-            }
             ServeError::Route(e) => write!(f, "routing failed: {e}"),
-            ServeError::WorkerSpawn { shard } => {
-                write!(f, "failed to spawn the worker thread for shard {shard}")
-            }
         }
     }
 }
@@ -118,16 +98,16 @@ impl From<RouteError> for ServeError {
     }
 }
 
-// Serve errors cross shard boundaries by design (workers report them back
-// over channels); checked at compile time like the rest of the workspace's
-// error types.
+// Serve errors may be handed on from the reader thread that routed the
+// batch; checked at compile time like the workspace's other error types.
 const fn assert_send_sync_static<T: Send + Sync + 'static>() {}
 const _: () = assert_send_sync_static::<ServeError>();
 
 /// Configuration of a [`ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Number of worker shards (clamped to at least 1).
+    /// Number of shards the vertex space is partitioned into (clamped to
+    /// at least 1).
     pub shards: usize,
 }
 
@@ -138,7 +118,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with `shards` worker shards.
+    /// A config with `shards` shards.
     pub fn with_shards(shards: usize) -> Self {
         EngineConfig { shards }
     }
@@ -165,8 +145,9 @@ pub struct RouteAnswer {
     pub shard: usize,
 }
 
-/// Per-shard serving statistics, as accumulated by the worker thread.
-#[derive(Debug, Clone)]
+/// Per-shard serving statistics, summed over every sub-batch the shard
+/// owned.
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// The shard index.
     pub shard: usize,
@@ -176,7 +157,7 @@ pub struct ShardStats {
     pub errors: u64,
     /// Sub-batches processed.
     pub batches: u64,
-    /// Wall-clock the worker spent inside batches, nanoseconds.
+    /// Wall-clock spent routing this shard's sub-batches, nanoseconds.
     pub busy_ns: u64,
     /// Per-query latency distribution, nanoseconds.
     pub latency: LatencyHistogram,
@@ -184,43 +165,40 @@ pub struct ShardStats {
 
 impl ShardStats {
     fn new(shard: usize) -> Self {
-        ShardStats {
-            shard,
-            queries: 0,
-            errors: 0,
-            batches: 0,
-            busy_ns: 0,
-            latency: LatencyHistogram::new(),
-        }
+        ShardStats { shard, ..ShardStats::default() }
+    }
+
+    /// Counts one query routed since `prev` and returns the time now.
+    /// Chained, these timestamps read the clock once per query and
+    /// attribute every nanosecond to exactly one query.
+    fn count(&mut self, prev: Instant, failed: bool) -> Instant {
+        let now = Instant::now();
+        self.latency.record(now.duration_since(prev).as_nanos() as u64);
+        self.queries += 1;
+        self.errors += u64::from(failed);
+        now
     }
 }
 
-/// One query inside a shard sub-batch: the caller's slot plus the pair.
+/// One query of a batch: its owner shard, the pair and the caller's slot.
 struct Job {
-    slot: usize,
+    shard: usize,
     source: VertexId,
     dest: VertexId,
-}
-
-enum ShardMsg {
-    Batch { jobs: Vec<Job>, reply: mpsc::Sender<Vec<(usize, Result<RouteAnswer, ServeError>)>> },
-    Stats { reply: mpsc::Sender<ShardStats> },
+    slot: usize,
 }
 
 /// The sharded, concurrent query-serving engine (see the module docs for
 /// the shard layout, batching and hot-swap protocols).
 ///
 /// The engine is `Send + Sync`: any number of threads can call
-/// [`ShardedEngine::route_batch`] concurrently on one shared engine — the
-/// per-shard channels serialize work *per shard* while different shards
-/// proceed in parallel. Dropping the engine shuts the workers down and
-/// joins them.
+/// [`ShardedEngine::route_batch`] concurrently on one shared engine, each
+/// routing its own batch on its own thread.
+#[derive(Debug)]
 pub struct ShardedEngine {
-    cell: Arc<EpochCell>,
-    senders: Vec<mpsc::Sender<ShardMsg>>,
-    handles: Vec<JoinHandle<()>>,
+    cell: EpochCell,
+    stats: Vec<Mutex<ShardStats>>,
     n: usize,
-    shards: usize,
 }
 
 // The whole point of the engine: one instance, shared by reference across
@@ -230,8 +208,8 @@ const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<ShardedEngine>();
 
 impl ShardedEngine {
-    /// Starts an engine serving `(graph, scheme)` as epoch 1 with
-    /// `config.shards` resident worker threads.
+    /// Starts an engine serving `(graph, scheme)` as epoch 1, its vertex
+    /// space partitioned into `config.shards` shards.
     ///
     /// # Errors
     ///
@@ -250,31 +228,13 @@ impl ShardedEngine {
                 engine_n: n,
             });
         }
-        let shards = config.shards.max(1);
-        let cell = Arc::new(EpochCell::new(graph, scheme));
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            let cell = Arc::clone(&cell);
-            let handle = std::thread::Builder::new()
-                .name(format!("serve-shard-{shard}"))
-                .spawn(move || worker(shard, rx, cell))
-                .map_err(|_| ServeError::WorkerSpawn { shard })?;
-            senders.push(tx);
-            handles.push(handle);
-        }
-        Ok(ShardedEngine { cell, senders, handles, n, shards })
+        let stats = (0..config.shards.max(1)).map(|s| Mutex::new(ShardStats::new(s))).collect();
+        Ok(ShardedEngine { cell: EpochCell::new(graph, scheme), stats, n })
     }
 
-    /// Number of worker shards.
+    /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of vertices of the served vertex space.
-    pub fn n(&self) -> usize {
-        self.n
+        self.stats.len()
     }
 
     /// The currently published epoch.
@@ -282,9 +242,8 @@ impl ShardedEngine {
         self.cell.epoch()
     }
 
-    /// The currently published snapshot (what the *next* sub-batch will
-    /// route under; in-flight sub-batches may still be on the previous
-    /// one).
+    /// The currently published snapshot (what the *next* batch will route
+    /// under; in-flight batches may still be on the previous one).
     pub fn snapshot(&self) -> SchemeSnapshot {
         self.cell.load()
     }
@@ -299,7 +258,7 @@ impl ShardedEngine {
         if v.index() >= self.n {
             return Err(ServeError::UnknownVertex { vertex: v.index(), n: self.n });
         }
-        Ok(v.index() * self.shards / self.n)
+        Ok(v.index() * self.shards() / self.n)
     }
 
     /// Publishes a rebuilt `(graph, scheme)` pair as the next epoch and
@@ -334,158 +293,98 @@ impl ShardedEngine {
     ///
     /// As [`ShardedEngine::route_batch`].
     pub fn route(&self, source: VertexId, dest: VertexId) -> Result<RouteAnswer, ServeError> {
-        // route_batch returns exactly one answer per input pair; an empty
-        // vector here is impossible, but the hot path answers with an error
-        // rather than panicking.
-        match self.route_batch(&[(source, dest)]).pop() {
-            Some(answer) => answer,
-            None => Err(ServeError::ShardUnavailable { shard: 0 }),
-        }
+        let job = self.job(0, source, dest)?;
+        let (mut stats, start) = (ShardStats::new(job.shard), Instant::now());
+        let answer = route_one(&self.cell.load(), &job, &mut None);
+        stats.count(start, answer.is_err());
+        self.commit(stats, start);
+        answer
     }
 
-    /// Routes a batch of `(source, destination)` queries and returns one
-    /// answer per query, **in input order**.
+    /// Routes a batch of `(source, destination)` queries on the calling
+    /// thread and returns one answer per query, **in input order**.
     ///
-    /// The batch is partitioned by owner shard; each involved shard routes
-    /// its sub-batch under one snapshot. Per-query failures (unknown
-    /// vertices, scheme routing errors) are returned in that query's slot
-    /// — they never fail the rest of the batch.
+    /// The whole batch is routed under one snapshot, one owner shard's
+    /// sub-batch at a time. Per-query failures (unknown vertices, scheme
+    /// routing errors) are returned in that query's slot — they never fail
+    /// the rest of the batch.
     pub fn route_batch(
         &self,
         pairs: &[(VertexId, VertexId)],
     ) -> Vec<Result<RouteAnswer, ServeError>> {
-        let mut out: Vec<Option<Result<RouteAnswer, ServeError>>> =
-            pairs.iter().map(|_| None).collect();
-        // slot -> owning shard, for attributing failures when a shard dies.
-        let mut slot_shard = vec![0usize; pairs.len()];
-        let mut per_shard: Vec<Vec<Job>> = (0..self.shards).map(|_| Vec::new()).collect();
+        let mut answers = Vec::with_capacity(pairs.len());
+        let mut jobs = Vec::with_capacity(pairs.len());
         for (slot, &(source, dest)) in pairs.iter().enumerate() {
-            if dest.index() >= self.n {
-                out[slot] =
-                    Some(Err(ServeError::UnknownVertex { vertex: dest.index(), n: self.n }));
-                continue;
-            }
-            match self.owner_of(source) {
-                Ok(shard) => {
-                    slot_shard[slot] = shard;
-                    per_shard[shard].push(Job { slot, source, dest });
-                }
-                Err(e) => out[slot] = Some(Err(e)),
+            match self.job(slot, source, dest) {
+                Ok(job) => jobs.push(job),
+                Err(e) => answers.push((slot, Err(e))),
             }
         }
-
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut outstanding = 0usize;
-        for (shard, jobs) in per_shard.into_iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            match self.senders[shard].send(ShardMsg::Batch { jobs, reply: reply_tx.clone() }) {
-                Ok(()) => outstanding += 1,
-                Err(mpsc::SendError(ShardMsg::Batch { jobs, .. })) => {
-                    for job in jobs {
-                        out[job.slot] = Some(Err(ServeError::ShardUnavailable { shard }));
-                    }
-                }
-                // A send error hands back the message we just constructed,
-                // so it is always a Batch; nothing to attribute otherwise.
-                Err(mpsc::SendError(ShardMsg::Stats { .. })) => {}
+        if !jobs.is_empty() {
+            // Grouped by owner, then sorted by destination so runs of
+            // queries towards the same destination share one erased label;
+            // slot as tiebreaker keeps the order deterministic.
+            jobs.sort_unstable_by_key(|j| (j.shard, j.dest, j.slot));
+            let snap = self.cell.load();
+            for sub_batch in jobs.chunk_by(|a, b| a.shard == b.shard) {
+                self.route_shard(&snap, sub_batch, &mut answers);
             }
         }
-        drop(reply_tx);
-        for _ in 0..outstanding {
-            let Ok(results) = reply_rx.recv() else {
-                break; // a worker died mid-batch; its slots stay unfilled
-            };
-            for (slot, answer) in results {
-                out[slot] = Some(answer);
-            }
-        }
-
-        out.into_iter()
-            .enumerate()
-            .map(|(slot, r)| {
-                r.unwrap_or(Err(ServeError::ShardUnavailable { shard: slot_shard[slot] }))
-            })
-            .collect()
+        answers.sort_unstable_by_key(|&(slot, _)| slot);
+        answers.into_iter().map(|(_, answer)| answer).collect()
     }
 
-    /// A statistics snapshot from every live shard: queries, errors,
-    /// batches, busy wall-clock and the per-query latency histogram.
+    /// A statistics snapshot from every shard: queries, errors, batches,
+    /// busy wall-clock and the per-query latency histogram.
     pub fn stats(&self) -> Vec<ShardStats> {
-        self.senders
+        self.stats
             .iter()
-            .filter_map(|tx| {
-                let (reply, rx) = mpsc::channel();
-                tx.send(ShardMsg::Stats { reply }).ok()?;
-                rx.recv().ok()
-            })
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).clone())
             .collect()
     }
-}
 
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        // Closing the channels is the shutdown signal; workers exit their
-        // recv loop and are joined so no thread outlives the engine.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+    /// Checks both endpoints of the query in `slot` and finds its owner.
+    fn job(&self, slot: usize, source: VertexId, dest: VertexId) -> Result<Job, ServeError> {
+        if dest.index() >= self.n {
+            return Err(ServeError::UnknownVertex { vertex: dest.index(), n: self.n });
         }
+        Ok(Job { shard: self.owner_of(source)?, source, dest, slot })
     }
-}
 
-impl std::fmt::Debug for ShardedEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEngine")
-            .field("n", &self.n)
-            .field("shards", &self.shards)
-            .field("epoch", &self.epoch())
-            .finish()
-    }
-}
-
-/// The shard worker loop: route batches under one snapshot each, answer
-/// stats probes, exit when the engine drops the channel.
-fn worker(shard: usize, rx: mpsc::Receiver<ShardMsg>, cell: Arc<EpochCell>) {
-    let mut stats = ShardStats::new(shard);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Batch { mut jobs, reply } => {
-                let batch_start = Instant::now();
-                // One snapshot per sub-batch: every answer in it carries
-                // this epoch, and a concurrent publish only affects later
-                // batches.
-                let snap = cell.load();
-                // Sort by destination so runs of queries towards the same
-                // destination share one erased label; slot as tiebreaker
-                // keeps the order deterministic.
-                jobs.sort_unstable_by_key(|j| (j.dest, j.slot));
-                let mut cached: Option<(VertexId, ErasedLabel)> = None;
-                let mut results = Vec::with_capacity(jobs.len());
-                // Chained timestamps: one clock read per query, every
-                // nanosecond of the loop attributed to exactly one query.
-                let mut prev = Instant::now();
-                for job in &jobs {
-                    let answer = route_one(&snap, job, shard, &mut cached);
-                    let now = Instant::now();
-                    stats.latency.record(now.duration_since(prev).as_nanos() as u64);
-                    prev = now;
-                    stats.queries += 1;
-                    if answer.is_err() {
-                        stats.errors += 1;
-                    }
-                    results.push((job.slot, answer));
-                }
-                stats.batches += 1;
-                stats.busy_ns += batch_start.elapsed().as_nanos() as u64;
-                // A dispatcher that gave up waiting is not an error here.
-                let _ = reply.send(results);
-            }
-            ShardMsg::Stats { reply } => {
-                let _ = reply.send(stats.clone());
-            }
+    /// Routes one shard's dest-sorted sub-batch under `snap`, pushing
+    /// `(slot, answer)` pairs.
+    fn route_shard(
+        &self,
+        snap: &SchemeSnapshot,
+        jobs: &[Job],
+        answers: &mut Vec<(usize, Result<RouteAnswer, ServeError>)>,
+    ) {
+        let Some(first) = jobs.first() else {
+            return;
+        };
+        let (mut stats, start) = (ShardStats::new(first.shard), Instant::now());
+        let mut prev = start;
+        let mut cached: Option<(VertexId, ErasedLabel)> = None;
+        for job in jobs {
+            let answer = route_one(snap, job, &mut cached);
+            prev = stats.count(prev, answer.is_err());
+            answers.push((job.slot, answer));
         }
+        self.commit(stats, start);
+    }
+
+    /// Merges one sub-batch's accounting into its shard's stats under one
+    /// short lock, so readers of the same shard never serialize on the
+    /// routing itself. Poison-tolerant: the merge only adds counters, so a
+    /// panic elsewhere cannot leave the stats torn.
+    fn commit(&self, sub: ShardStats, start: Instant) {
+        let busy_ns = start.elapsed().as_nanos() as u64;
+        let mut stats = self.stats[sub.shard].lock().unwrap_or_else(PoisonError::into_inner);
+        stats.queries += sub.queries;
+        stats.errors += sub.errors;
+        stats.batches += 1;
+        stats.busy_ns += busy_ns;
+        stats.latency.merge(&sub.latency);
     }
 }
 
@@ -494,7 +393,6 @@ fn worker(shard: usize, rx: mpsc::Receiver<ShardMsg>, cell: Arc<EpochCell>) {
 fn route_one(
     snap: &SchemeSnapshot,
     job: &Job,
-    shard: usize,
     cached: &mut Option<(VertexId, ErasedLabel)>,
 ) -> Result<RouteAnswer, ServeError> {
     let g = snap.graph();
@@ -516,7 +414,7 @@ fn route_one(
         hops: out.hops,
         max_header_words: out.max_header_words,
         epoch: snap.epoch(),
-        shard,
+        shard: job.shard,
     })
 }
 
@@ -528,7 +426,8 @@ mod tests {
     use rand::SeedableRng;
     use routing_core::BuildContext;
     use routing_graph::generators::{Family, WeightModel};
-    use routing_model::simulate;
+    use routing_graph::Port;
+    use routing_model::{simulate, Decision, HeaderSize, RoutingScheme};
 
     fn build(n: usize, key: &str, seed: u64) -> (Arc<Graph>, Arc<dyn DynScheme>) {
         let mut rng = StdRng::seed_from_u64(5);
@@ -578,6 +477,94 @@ mod tests {
             Err(ServeError::UnknownVertex { vertex: 99, n: 40 })
         );
         assert!(answers[3].is_ok());
+    }
+
+    /// Routes along the path `0 - 1 - … - (n-1)`, except towards the last
+    /// vertex: those queries bounce between vertices 0 and 1 until the hop
+    /// budget runs out.
+    struct Bouncer(usize);
+
+    #[derive(Clone)]
+    struct NoHeader;
+    impl HeaderSize for NoHeader {
+        fn words(&self) -> usize {
+            0
+        }
+    }
+
+    impl RoutingScheme for Bouncer {
+        type Label = VertexId;
+        type Header = NoHeader;
+        fn name(&self) -> &str {
+            "bouncer"
+        }
+        fn n(&self) -> usize {
+            self.0
+        }
+        fn label_of(&self, v: VertexId) -> VertexId {
+            v
+        }
+        fn init_header(&self, _: VertexId, _: &VertexId) -> Result<NoHeader, RouteError> {
+            Ok(NoHeader)
+        }
+        fn decide(
+            &self,
+            at: VertexId,
+            _: &mut NoHeader,
+            dest: &VertexId,
+        ) -> Result<Decision, RouteError> {
+            // Port 0 leads to the smaller neighbour, except at vertex 0.
+            Ok(if at == *dest {
+                Decision::Deliver
+            } else if dest.index() + 1 == self.0 || dest < &at || at.index() == 0 {
+                Decision::Forward(Port(0))
+            } else {
+                Decision::Forward(Port(1))
+            })
+        }
+        fn table_words(&self, _: VertexId) -> usize {
+            0
+        }
+        fn label_words(&self, _: VertexId) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn scheme_failures_are_isolated_and_counted() {
+        let n = 8;
+        let g = Arc::new(routing_graph::generators::path(n));
+        let scheme: Arc<dyn DynScheme> = Arc::new(Bouncer(n));
+        let engine =
+            ShardedEngine::new(Arc::clone(&g), Arc::clone(&scheme), EngineConfig::with_shards(2))
+                .unwrap();
+        let batch: Vec<(VertexId, VertexId)> = [(0, 3), (1, 7), (5, 1), (6, 7), (6, 6)]
+            .into_iter()
+            .map(|(u, v)| (VertexId(u), VertexId(v)))
+            .collect();
+        let answers = engine.route_batch(&batch);
+        let budget = RouteError::HopBudgetExceeded { budget: 4 * n + 16 };
+        for (slot, &(u, v)) in batch.iter().enumerate() {
+            if v.index() == n - 1 {
+                assert_eq!(answers[slot], Err(ServeError::Route(budget.clone())), "slot {slot}");
+                continue;
+            }
+            let got = answers[slot].as_ref().unwrap();
+            let want = simulate(&g, scheme.as_ref(), u, v).unwrap();
+            assert_eq!((got.weight, got.hops), (want.weight, want.hops), "slot {slot}");
+            assert_eq!(got.weight, u.index().abs_diff(v.index()) as Weight);
+            assert_eq!(got.shard, engine.owner_of(u).unwrap());
+        }
+        // One failure per shard (sources 1 and 6), three successes.
+        let stats = engine.stats();
+        assert_eq!(stats.iter().map(|s| s.errors).collect::<Vec<_>>(), [1, 1]);
+        assert_eq!(stats.iter().map(|s| s.queries).sum::<u64>(), 5);
+        for s in &stats {
+            assert_eq!(s.latency.count(), s.queries, "histogram covers failed queries");
+        }
+        // The single-query path accounts for failures the same way.
+        assert_eq!(engine.route(VertexId(2), VertexId(7)), Err(ServeError::Route(budget)));
+        assert_eq!(engine.stats()[0].errors, 2);
     }
 
     #[test]
@@ -656,8 +643,7 @@ mod tests {
     fn error_display_is_informative() {
         let e = ServeError::UnknownVertex { vertex: 9, n: 4 };
         assert!(e.to_string().contains("vertex 9"));
-        let e = ServeError::ShardUnavailable { shard: 2 };
-        assert!(e.to_string().contains("shard 2"));
+        assert!(std::error::Error::source(&e).is_none());
         let e = ServeError::SnapshotMismatch { graph_n: 1, scheme_n: 2, engine_n: 3 };
         assert!(e.to_string().contains("snapshot mismatch"));
         let e: ServeError = RouteError::HopBudgetExceeded { budget: 7 }.into();

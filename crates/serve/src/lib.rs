@@ -14,12 +14,12 @@
 //!   is one pointer swap under a lock held for nanoseconds; readers keep
 //!   routing the snapshot they loaded (its `Arc`s keep it alive) and pick
 //!   up the new epoch at their next batch.
-//! - [`ShardedEngine`] — N resident worker threads, each owning a
-//!   contiguous slice of the vertex space and answering the queries
-//!   sourced there. Batches are partitioned per shard, routed under one
-//!   snapshot each, sorted by destination so repeated destinations share
-//!   one erased label, and answered through the allocation-free
-//!   [`routing_model::simulate_lean_with_label`] path.
+//! - [`ShardedEngine`] — routes each batch on the caller's thread under one
+//!   snapshot, grouped by the source's shard (a contiguous slice of the
+//!   vertex space) and sorted by destination so repeated destinations
+//!   share one erased label, through the allocation-free
+//!   [`routing_model::simulate_lean_with_label`] path. Concurrent readers
+//!   supply the parallelism; no engine thread exists.
 //! - [`ZipfWorkload`] — a seeded, byte-reproducible Zipf-skewed load
 //!   generator for stress tests and benches.
 //! - [`ShardStats`] — per-shard accounting, including a

@@ -5,20 +5,16 @@
 //! `Arc`s, tagged with the **epoch** at which it was published. Snapshots
 //! are immutable by construction: `DynScheme` is a read-only surface and
 //! `Send + Sync` by contract (see `routing_model::erased`), so any number
-//! of shard threads can route through one snapshot concurrently with no
+//! of reader threads can route through one snapshot concurrently with no
 //! synchronization beyond the initial `Arc` clone.
 //!
 //! The [`EpochCell`] is the single mutable point of the serving layer: a
 //! rebuilt table is published as a whole new snapshot with the next epoch
-//! number, swapped in under a write lock that is held only for the pointer
-//! store. Readers hold the lock only to clone two `Arc`s — nanoseconds —
-//! so a swap never blocks traffic for longer than one pointer exchange,
-//! and a shard that loaded the old snapshot keeps routing it consistently
-//! until its next load (the `Arc` keeps the retired tables alive). Every
-//! answer the engine produces carries the epoch of the snapshot that
-//! produced it, which is what the concurrency stress test keys on: an
-//! answer must be *exactly* the answer some published epoch gives, never a
-//! blend of two.
+//! number. A reader that loaded the old snapshot keeps routing it
+//! consistently until its next load, and every answer carries the epoch
+//! of the snapshot that produced it — the concurrency stress test checks
+//! that each answer is *exactly* the answer of some published epoch,
+//! never a blend of two.
 
 use std::sync::{Arc, RwLock};
 
@@ -119,7 +115,9 @@ impl EpochCell {
 
 impl std::fmt::Debug for EpochCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochCell").field("current", &self.load()).finish()
+        // Read the slot directly: `load` would count a snapshot load.
+        let current = self.slot.read().unwrap_or_else(|p| p.into_inner());
+        f.debug_struct("EpochCell").field("current", &*current).finish()
     }
 }
 

@@ -10,7 +10,7 @@ use routing_graph::apsp::DistanceMatrix;
 use routing_graph::generators::{self, WeightModel};
 use routing_graph::mutate::apply_events;
 use routing_graph::shortest_path::dijkstra;
-use routing_graph::{Graph, SampledDistances, VertexId};
+use routing_graph::{Graph, GraphBuilder, SampledDistances, VertexId, MAX_WEIGHT};
 use routing_model::simulate;
 use routing_vicinity::BallTable;
 
@@ -29,6 +29,26 @@ fn arb_graph() -> impl Strategy<Value = (Graph, u64)> {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+    /// At the weight ceiling: scaling every weight by `k = MAX_WEIGHT / w_max`
+    /// puts the heaviest edge within `w_max` of `MAX_WEIGHT` and must scale
+    /// every shortest distance by exactly `k` — nothing wraps or saturates.
+    #[test]
+    fn distances_scale_exactly_up_to_the_weight_ceiling((g, _seed) in arb_graph()) {
+        let (_, w_max) = g.weight_range().unwrap();
+        let k = MAX_WEIGHT / w_max;
+        let mut b = GraphBuilder::new(g.n());
+        for (u, v, w) in g.all_edges() {
+            b.add_edge(u.index(), v.index(), w * k).unwrap();
+        }
+        let heavy = b.build();
+        for u in g.vertices().step_by(7) {
+            let (light, scaled) = (dijkstra(&g, u), dijkstra(&heavy, u));
+            for v in g.vertices() {
+                prop_assert_eq!(scaled.dist(v), light.dist(v).map(|d| d * k));
+            }
+        }
+    }
 
     /// Property 1 of the paper: ball membership is preserved along shortest
     /// paths, for every ball size.
