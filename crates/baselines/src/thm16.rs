@@ -298,23 +298,14 @@ impl RoutingScheme for Thm16Scheme {
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        let bunch = self.hierarchy.bunch(v);
-        let membership: usize = bunch
-            .iter()
-            .map(|&(w, _)| self.hierarchy.cluster_tree(w).table_words(v))
-            .sum();
-        let own_labels: usize = self
-            .hierarchy
-            .cluster_tree(v)
-            .vertices()
-            .map(|x| self.hierarchy.cluster_tree(v).label(x).map(TreeLabel::words).unwrap_or(0))
-            .sum();
-        self.balls.words_at(v) + 2 * bunch.len() + membership + own_labels
+        self.balls.words_at(v)
+            + 2 * self.hierarchy.bunch(v).len()
+            + self.hierarchy.cluster_table_words(v)
             + 2 * self.hierarchy.k()
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        self.label_of(v).words()
+        1 + 2 * self.hierarchy.k() + self.hierarchy.ladder_label_words(v)
     }
 }
 

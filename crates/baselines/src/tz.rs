@@ -42,8 +42,6 @@
 //! the caller's thread, so the built hierarchy is bit-identical for every
 //! thread count.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use routing_core::{BuildContext, BuildError, SchemeBuilder};
@@ -66,10 +64,9 @@ pub struct TzHierarchy {
     level_of: Vec<usize>,
     /// `bunches[v]` = `B(v)` with distances, sorted by `(distance, id)`.
     bunches: Vec<Vec<(VertexId, Weight)>>,
-    /// The cluster tree `T(w)` of every vertex `w` (rooted at `w`, spanning
-    /// `C(w)` with respect to `w`'s level).
-    // lint:allow(det-hash-iter): keyed lookup by pivot at query time; never iterated
-    cluster_trees: HashMap<VertexId, TreeScheme>,
+    /// `cluster_trees[w]` is the cluster tree `T(w)` (rooted at `w`,
+    /// spanning `C(w)` with respect to `w`'s level).
+    cluster_trees: Vec<TreeScheme>,
 }
 
 impl TzHierarchy {
@@ -172,15 +169,14 @@ impl TzHierarchy {
                 (scratch.order().to_vec(), tree)
             },
         );
-        // lint:allow(det-hash-iter): filled in vertex order, read by key; never iterated
-        let mut cluster_trees = HashMap::with_capacity(n);
+        let mut cluster_trees = Vec::with_capacity(n);
         let mut bunches: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
         for (w, (members, tree)) in per_w.into_iter().enumerate() {
             let w = VertexId(w as u32);
             for (v, d) in members {
                 bunches[v.index()].push((w, d));
             }
-            cluster_trees.insert(w, tree);
+            cluster_trees.push(tree);
         }
         for bunch in &mut bunches {
             bunch.sort_unstable_by_key(|&(w, d)| (d, w));
@@ -221,7 +217,25 @@ impl TzHierarchy {
 
     /// The cluster tree `T(w)`.
     pub fn cluster_tree(&self, w: VertexId) -> &TreeScheme {
-        &self.cluster_trees[&w]
+        &self.cluster_trees[w.index()]
+    }
+
+    /// The label words `v` carries for its pivot ladder: its label in every
+    /// `T(p_i(v))`, one word for each missing one (the `tin = u32::MAX`
+    /// placeholder the label stores instead).
+    pub(crate) fn ladder_label_words(&self, v: VertexId) -> usize {
+        (0..self.k)
+            .map(|i| self.cluster_tree(self.pivot(i, v).0).label(v).map_or(1, TreeLabel::words))
+            .sum()
+    }
+
+    /// `v`'s table share for the clusters it belongs to and for its own
+    /// cluster: node information in `T(w)` for every `w ∈ B(v)`, plus the
+    /// label of every member of `C(v)`.
+    pub(crate) fn cluster_table_words(&self, v: VertexId) -> usize {
+        let membership: usize =
+            self.bunch(v).iter().map(|&(w, _)| self.cluster_tree(w).table_words(v)).sum();
+        membership + self.cluster_tree(v).total_label_words()
     }
 
     /// All bunches as raw per-vertex lists, for flattening into a
@@ -498,22 +512,13 @@ impl RoutingScheme for TzRoutingScheme {
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        let bunch = self.hierarchy.bunch(v);
-        let membership: usize = bunch
-            .iter()
-            .map(|&(w, _)| self.hierarchy.cluster_tree(w).table_words(v))
-            .sum();
-        let own_labels: usize = self
-            .hierarchy
-            .cluster_tree(v)
-            .vertices()
-            .map(|x| self.hierarchy.cluster_tree(v).label(x).map(TreeLabel::words).unwrap_or(0))
-            .sum();
-        2 * bunch.len() + membership + own_labels + 2 * self.hierarchy.k()
+        2 * self.hierarchy.bunch(v).len()
+            + self.hierarchy.cluster_table_words(v)
+            + 2 * self.hierarchy.k()
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        self.label_of(v).words()
+        1 + self.hierarchy.k() + self.hierarchy.ladder_label_words(v)
     }
 }
 
@@ -659,6 +664,10 @@ mod tests {
         assert_eq!(s3.name(), "tz3");
         for v in g.vertices().take(5) {
             assert!(s2.label_words(v) >= 3);
+        }
+        for v in g.vertices() {
+            assert_eq!(s2.label_words(v), s2.label_of(v).words());
+            assert_eq!(s3.label_words(v), s3.label_of(v).words());
         }
     }
 

@@ -107,9 +107,10 @@ pub struct SchemeTwoPlusEps {
     cluster_trees: Vec<TreeScheme>,
     /// Bunch of every vertex: `B_A(v)` with distances.
     bunch_of: Vec<Vec<(VertexId, Weight)>>,
-    /// Global trees `T(a)` for every landmark `a`.
-    // lint:allow(det-hash-iter): keyed lookup by landmark; the only iteration is an order-independent usize sum of table words
-    global_trees: HashMap<VertexId, TreeScheme>,
+    /// Global trees: `global_trees[i]` is `T(a)` for the `i`-th landmark
+    /// `a` of the id-sorted `landmarks.members()`, so one binary search
+    /// finds the tree of `p_A(v)`.
+    global_trees: Vec<TreeScheme>,
     /// At `u`: destination `v` -> best intersection vertex `w`.
     // lint:allow(det-hash-iter): keyed lookup at query time; len() is the only whole-map read
     best_intersection: Vec<HashMap<VertexId, VertexId>>,
@@ -173,11 +174,7 @@ impl SchemeTwoPlusEps {
                     .map_err(|e| BuildError::TooSmall { what: e.to_string() })
             },
         );
-        // lint:allow(det-hash-iter): filled in sorted landmark order, read by key (see the field pragma)
-        let mut global_trees = HashMap::with_capacity(landmarks.len());
-        for (&a, tree) in landmarks.members().iter().zip(built) {
-            global_trees.insert(a, tree?);
-        }
+        let global_trees = built.into_iter().collect::<Result<Vec<_>, _>>()?;
         drop(span_gt);
 
         // Best intersection vertex per (u, v) with B(u, q̃) ∩ B_A(v) != ∅.
@@ -252,6 +249,12 @@ impl SchemeTwoPlusEps {
     pub fn landmarks(&self) -> &Landmarks {
         &self.landmarks
     }
+
+    /// The global tree `T(a)` of landmark `a`.
+    fn global_tree(&self, a: VertexId) -> Option<&TreeScheme> {
+        let i = self.landmarks.members().binary_search(&a).ok()?;
+        self.global_trees.get(i)
+    }
 }
 
 impl RoutingScheme for SchemeTwoPlusEps {
@@ -270,8 +273,7 @@ impl RoutingScheme for SchemeTwoPlusEps {
         let p_a = self.landmarks.nearest(v).unwrap_or(v);
         let d_pa = self.landmarks.dist_to_set(v).unwrap_or(0);
         let global_label = self
-            .global_trees
-            .get(&p_a)
+            .global_tree(p_a)
             .and_then(|t| t.label(v))
             .cloned()
             .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() });
@@ -371,7 +373,7 @@ impl RoutingScheme for SchemeTwoPlusEps {
                     });
                 }
                 Phase::GlobalTree => {
-                    let tree = self.global_trees.get(&dest.p_a).ok_or_else(|| {
+                    let tree = self.global_tree(dest.p_a).ok_or_else(|| {
                         RouteError::BadLabel { what: format!("{} is not a landmark", dest.p_a) }
                     })?;
                     let node = tree.node_info(at).ok_or_else(|| RouteError::MissingInformation {
@@ -411,12 +413,8 @@ impl RoutingScheme for SchemeTwoPlusEps {
             .iter()
             .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
             .sum();
-        let own_cluster_labels: usize = self.cluster_trees[u.index()]
-            .vertices()
-            .map(|v| self.cluster_trees[u.index()].label(v).map(TreeLabel::words).unwrap_or(0))
-            .sum();
-        let global: usize =
-            self.global_trees.values().map(|t| t.table_words(u)).sum();
+        let own_cluster_labels = self.cluster_trees[u.index()].total_label_words();
+        let global: usize = self.global_trees.iter().map(|t| t.table_words(u)).sum();
         self.balls.words_at(u)
             + cluster_membership
             + own_cluster_labels
@@ -427,7 +425,8 @@ impl RoutingScheme for SchemeTwoPlusEps {
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        self.label_of(v).words()
+        let p_a = self.landmarks.nearest(v).unwrap_or(v);
+        4 + self.global_tree(p_a).and_then(|t| t.label(v)).map_or(1, TreeLabel::words)
     }
 }
 
@@ -503,6 +502,7 @@ mod tests {
         for v in g.vertices() {
             assert!(scheme.table_words(v) > 0);
             assert!(scheme.label_words(v) >= 4);
+            assert_eq!(scheme.label_words(v), scheme.label_of(v).words());
         }
     }
 }

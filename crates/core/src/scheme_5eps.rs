@@ -378,10 +378,7 @@ impl RoutingScheme for SchemeFivePlusEps {
             .iter()
             .map(|&(w, _)| self.cluster_trees[w.index()].table_words(u))
             .sum();
-        let own_cluster_labels: usize = self.cluster_trees[u.index()]
-            .vertices()
-            .map(|v| self.cluster_trees[u.index()].label(v).map(TreeLabel::words).unwrap_or(0))
-            .sum();
+        let own_cluster_labels = self.cluster_trees[u.index()].total_label_words();
         self.balls.words_at(u)
             + cluster_membership
             + own_cluster_labels
@@ -390,7 +387,7 @@ impl RoutingScheme for SchemeFivePlusEps {
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        self.label_of(v).words()
+        3 + 2 * usize::from(self.first_edge[v.index()].is_some())
     }
 }
 
@@ -459,6 +456,7 @@ mod tests {
         for v in g.vertices() {
             assert!(scheme.table_words(v) > 0);
             assert!(scheme.label_words(v) >= 3);
+            assert_eq!(scheme.label_words(v), scheme.label_of(v).words());
         }
     }
 

@@ -42,11 +42,27 @@
 //! that the compact routing schemes of the paper can embed copies of them in
 //! their own routing tables and labels; [`TreeScheme`] additionally
 //! implements [`RoutingScheme`] so the tree router can be tested standalone.
+//!
+//! # Storage
+//!
+//! A [`TreeScheme`] keeps its vertices in one id-sorted array, with the
+//! [`TreeNodeInfo`] and [`TreeLabel`] of each vertex in two arrays parallel
+//! to it. Every accessor first finds the vertex's *slot*, its position in
+//! those arrays: on a spanning tree (the vertices are exactly `0..n`) the
+//! slot of `v` is `v.index()`, on a partial tree such as a cluster tree it
+//! is a binary search over the ids. A routing decision therefore costs one
+//! array read or one binary search, with no hashing, and an id outside the
+//! tree (or the graph) is answered with `None`.
+//!
+//! The build works on slots as well. It sorts the `(child, parent)` pairs,
+//! lays out the children of each vertex as a CSR in ascending id order,
+//! computes `tin`/`tout` and subtree sizes with one iterative DFS, and fills
+//! the labels in DFS preorder: a label is its parent's light-edge list,
+//! extended by one entry when the edge into it is light.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -171,140 +187,227 @@ pub fn tree_route_step(node: &TreeNodeInfo, dest: &TreeLabel) -> Result<Decision
         })
 }
 
+/// Marks "no slot" in the build's per-slot arrays (unvisited `tin`, no
+/// parent, no heavy child).
+const NO_SLOT: u32 = u32::MAX;
+
 /// A complete tree routing scheme for one rooted tree.
+///
+/// The tree vertices are kept in one id-sorted array with the per-vertex
+/// [`TreeNodeInfo`] and [`TreeLabel`] parallel to it; see the module docs.
 #[derive(Debug, Clone)]
 pub struct TreeScheme {
     name: String,
     root: VertexId,
     n_graph: usize,
-    // lint:allow(det-hash-iter): keyed lookups at query time only; never iterated
-    nodes: HashMap<VertexId, TreeNodeInfo>,
-    // lint:allow(det-hash-iter): keyed lookups at query time only; never iterated
-    labels: HashMap<VertexId, TreeLabel>,
+    /// True when `ids` is exactly `0..n_graph` (a spanning tree), so the
+    /// slot of `v` is `v.index()`.
+    dense: bool,
+    /// The tree vertices in ascending id order.
+    ids: Vec<VertexId>,
+    /// `nodes[i]` is the routing information of `ids[i]`.
+    nodes: Vec<TreeNodeInfo>,
+    /// `labels[i]` is the tree label of `ids[i]`.
+    labels: Vec<TreeLabel>,
 }
 
 impl TreeScheme {
     /// Builds the tree router from an explicit parent relation.
     ///
-    /// `parents` maps every non-root tree vertex to its parent; the root must
-    /// not appear as a key. Every parent edge must exist in `g` (ports are
-    /// taken from `g`).
+    /// `parents` yields `(child, parent)` for every non-root tree vertex, in
+    /// any order (a `&HashMap<VertexId, VertexId>` or `&BTreeMap` works);
+    /// the root must not appear as a child. Every parent edge must exist in
+    /// `g` (ports are taken from `g`).
     ///
     /// # Errors
     ///
     /// Returns an error if a parent edge is missing from the graph or the
     /// relation is not a tree rooted at `root`.
-    pub fn from_parents(
+    pub fn from_parents<'a>(
         g: &Graph,
         root: VertexId,
-        // lint:allow(det-hash-iter): iterated only to populate per-child entries of `children`, whose lists are sorted before any order-sensitive use
-        parents: &HashMap<VertexId, VertexId>,
+        parents: impl IntoIterator<Item = (&'a VertexId, &'a VertexId)>,
     ) -> Result<Self, TreeBuildError> {
-        if parents.contains_key(&root) {
+        Self::from_pairs(g, root, parents.into_iter().map(|(&c, &p)| (c, p)).collect())
+    }
+
+    /// The shared constructor: `pairs` holds `(child, parent)` for every
+    /// non-root tree vertex, in any order.
+    ///
+    /// The build runs on slots (positions in the id-sorted vertex array):
+    /// a CSR of children in ascending id order, an iterative DFS for
+    /// `tin`/`tout`/subtree sizes, and labels filled in DFS preorder, each
+    /// extending its parent's light-edge list by at most one entry.
+    fn from_pairs(
+        g: &Graph,
+        root: VertexId,
+        mut pairs: Vec<(VertexId, VertexId)>,
+    ) -> Result<Self, TreeBuildError> {
+        pairs.sort_unstable();
+        if pairs.binary_search_by_key(&root, |&(c, _)| c).is_ok() {
             return Err(TreeBuildError::NotATree { what: format!("root {root} has a parent") });
         }
-        // children lists
-        // lint:allow(det-hash-iter): every kids list is sort_unstable()d below, and per-key work in later iterations is order-independent
-        let mut children: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        children.entry(root).or_default();
-        for (&c, &p) in parents {
-            if g.port_to(p, c).is_none() {
-                return Err(TreeBuildError::MissingEdge { child: c, parent: p });
-            }
-            children.entry(p).or_default();
-            children.entry(c).or_default();
-            children.get_mut(&p).expect("just inserted").push(c);
-        }
-        for kids in children.values_mut() {
-            kids.sort_unstable();
-        }
-        let tree_size = parents.len() + 1;
-        if children.len() != tree_size {
+        if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
             return Err(TreeBuildError::NotATree {
-                what: format!("{} vertices reachable but {} declared", children.len(), tree_size),
+                what: format!("vertex {} has two parents", w[0].0),
             });
         }
-
-        // Iterative DFS computing tin/tout and subtree sizes.
-        // lint:allow(det-hash-iter): keyed lookups only; DFS visit order is fixed by the sorted children lists, so every tin value is deterministic
-        let mut tin: HashMap<VertexId, u32> = HashMap::new();
-        // lint:allow(det-hash-iter): keyed lookups only, deterministic values (see tin)
-        let mut tout: HashMap<VertexId, u32> = HashMap::new();
-        // lint:allow(det-hash-iter): keyed lookups only, deterministic values (see tin)
-        let mut size: HashMap<VertexId, u32> = HashMap::new();
-        let mut clock = 0u32;
-        let mut stack: Vec<(VertexId, usize)> = vec![(root, 0)];
-        tin.insert(root, clock);
-        clock += 1;
-        loop {
-            let (v, idx) = match stack.last() {
-                Some(&top) => top,
-                None => break,
-            };
-            let kids = &children[&v];
-            if idx < kids.len() {
-                stack.last_mut().expect("stack is non-empty").1 += 1;
-                let c = kids[idx];
-                if tin.contains_key(&c) {
-                    return Err(TreeBuildError::NotATree {
-                        what: format!("vertex {c} visited twice (cycle)"),
-                    });
-                }
-                tin.insert(c, clock);
-                clock += 1;
-                stack.push((c, 0));
-            } else {
-                tout.insert(v, clock);
-                let s = 1 + kids.iter().map(|c| size.get(c).copied().unwrap_or(0)).sum::<u32>();
-                size.insert(v, s);
-                stack.pop();
+        let n = g.n();
+        let port = |from: VertexId, to: VertexId| {
+            if from.index() < n { g.port_to(from, to) } else { None }
+        };
+        // (port at the parent towards the child, port at the child towards
+        // the parent), aligned with `pairs`.
+        let mut ports = Vec::with_capacity(pairs.len());
+        for &(c, p) in &pairs {
+            match (port(p, c), port(c, p)) {
+                (Some(down), Some(up)) => ports.push((down, up)),
+                _ => return Err(TreeBuildError::MissingEdge { child: c, parent: p }),
             }
         }
-        if tin.len() != tree_size {
+
+        // The vertex set: the (sorted) children plus the root. Any parent
+        // outside it is a vertex the relation reaches but does not declare.
+        let tree_size = pairs.len() + 1;
+        let mut ids: Vec<VertexId> = Vec::with_capacity(tree_size);
+        let at = pairs.partition_point(|&(c, _)| c < root);
+        ids.extend(pairs[..at].iter().map(|&(c, _)| c));
+        ids.push(root);
+        ids.extend(pairs[at..].iter().map(|&(c, _)| c));
+        let dense = ids.len() == n && ids.last().is_some_and(|v| v.index() < n);
+        let slot_of = |v: VertexId| -> Option<usize> {
+            if dense {
+                (v.index() < n).then_some(v.index())
+            } else {
+                ids.binary_search(&v).ok()
+            }
+        };
+        let root_slot = at;
+
+        // Per slot: parent slot, port at the parent towards it, port towards
+        // the parent; and the children CSR (ascending id within a list,
+        // because `pairs` is sorted by child).
+        let mut parent = vec![NO_SLOT; tree_size];
+        let mut down_port = vec![Port(u32::MAX); tree_size];
+        let mut up_port: Vec<Option<Port>> = vec![None; tree_size];
+        let mut kid_start = vec![0u32; tree_size + 1];
+        for (i, &(_, p)) in pairs.iter().enumerate() {
+            let Some(ps) = slot_of(p) else {
+                let mut all: Vec<VertexId> =
+                    pairs.iter().flat_map(|&(c, p)| [c, p]).chain([root]).collect();
+                all.sort_unstable();
+                all.dedup();
+                return Err(TreeBuildError::NotATree {
+                    what: format!("{} vertices reachable but {} declared", all.len(), tree_size),
+                });
+            };
+            let cs = if i < at { i } else { i + 1 };
+            parent[cs] = ps as u32;
+            down_port[cs] = ports[i].0;
+            up_port[cs] = Some(ports[i].1);
+            kid_start[ps + 1] += 1;
+        }
+        for s in 0..tree_size {
+            kid_start[s + 1] += kid_start[s];
+        }
+        let mut kids = vec![0u32; pairs.len()];
+        let mut fill = kid_start.clone();
+        for (cs, &ps) in parent.iter().enumerate() {
+            if ps != NO_SLOT {
+                kids[fill[ps as usize] as usize] = cs as u32;
+                fill[ps as usize] += 1;
+            }
+        }
+        let kids_of = |s: usize| &kids[kid_start[s] as usize..kid_start[s + 1] as usize];
+
+        // Iterative DFS: tin/tout, subtree sizes and the preorder.
+        let mut tin = vec![NO_SLOT; tree_size];
+        let mut tout = vec![0u32; tree_size];
+        let mut size = vec![1u32; tree_size];
+        let mut preorder: Vec<usize> = Vec::with_capacity(tree_size);
+        let mut clock = 0u32;
+        let mut stack: Vec<(usize, usize)> = vec![(root_slot, 0)];
+        tin[root_slot] = clock;
+        clock += 1;
+        preorder.push(root_slot);
+        while let Some(&(s, next)) = stack.last() {
+            let top = stack.len() - 1;
+            if let Some(&c) = kids_of(s).get(next) {
+                stack[top].1 += 1;
+                let c = c as usize;
+                if tin[c] != NO_SLOT {
+                    return Err(TreeBuildError::NotATree {
+                        what: format!("vertex {} visited twice (cycle)", ids[c]),
+                    });
+                }
+                tin[c] = clock;
+                clock += 1;
+                preorder.push(c);
+                stack.push((c, 0));
+            } else {
+                tout[s] = clock;
+                stack.pop();
+                if let Some(&(p, _)) = stack.last() {
+                    size[p] += size[s];
+                }
+            }
+        }
+        if preorder.len() != tree_size {
             return Err(TreeBuildError::NotATree {
                 what: "some declared vertices are not reachable from the root".into(),
             });
         }
 
-        // Node info: parent port + heavy child.
-        // lint:allow(det-hash-iter): filled per key from deterministic inputs; visit order of the fill loop cannot affect any entry
-        let mut nodes: HashMap<VertexId, TreeNodeInfo> = HashMap::new();
-        for (&v, kids) in &children {
-            let parent_port = parents
-                .get(&v)
-                .map(|&p| g.port_to(v, p).expect("parent edge checked above"));
-            let heavy = kids
-                .iter()
-                .max_by_key(|&&c| (size[&c], std::cmp::Reverse(c)))
-                .map(|&c| {
-                    let port = g.port_to(v, c).expect("child edge checked above");
-                    (tin[&c], tout[&c], port)
-                });
-            nodes.insert(v, TreeNodeInfo { tin: tin[&v], tout: tout[&v], parent_port, heavy });
-        }
-
-        // Labels: walk from each vertex up to the root collecting light edges.
-        // lint:allow(det-hash-iter): filled per key from deterministic inputs; visit order of the fill loop cannot affect any entry
-        let mut labels: HashMap<VertexId, TreeLabel> = HashMap::new();
-        for &v in children.keys() {
-            let mut light_rev: Vec<(u32, Port)> = Vec::new();
-            let mut cur = v;
-            while let Some(&p) = parents.get(&cur) {
-                let heavy_child_tin = nodes[&p].heavy.map(|(h_tin, _, _)| h_tin);
-                if heavy_child_tin != Some(tin[&cur]) {
-                    let port = g.port_to(p, cur).expect("parent edge checked above");
-                    light_rev.push((tin[&p], port));
+        // Heavy child: the largest subtree, ties to the smallest id (the
+        // first in the ascending children list).
+        let heavy: Vec<u32> = (0..tree_size)
+            .map(|s| {
+                let mut best = NO_SLOT;
+                for &c in kids_of(s) {
+                    if best == NO_SLOT || size[c as usize] > size[best as usize] {
+                        best = c;
+                    }
                 }
-                cur = p;
+                best
+            })
+            .collect();
+        let nodes: Vec<TreeNodeInfo> = (0..tree_size)
+            .map(|s| TreeNodeInfo {
+                tin: tin[s],
+                tout: tout[s],
+                parent_port: up_port[s],
+                heavy: (heavy[s] != NO_SLOT).then(|| {
+                    let h = heavy[s] as usize;
+                    (tin[h], tout[h], down_port[h])
+                }),
+            })
+            .collect();
+
+        // Light-edge lists in preorder: a vertex's list is its parent's,
+        // plus the edge into it when it is not the heavy child.
+        let mut light: Vec<Vec<(u32, Port)>> = vec![Vec::new(); tree_size];
+        for &s in &preorder[1..] {
+            let p = parent[s] as usize;
+            let is_light = heavy[p] as usize != s;
+            let mut list = Vec::with_capacity(light[p].len() + usize::from(is_light));
+            list.extend_from_slice(&light[p]);
+            if is_light {
+                list.push((tin[p], down_port[s]));
             }
-            light_rev.reverse();
-            labels.insert(v, TreeLabel { tin: tin[&v], light_ports: light_rev });
+            light[s] = list;
         }
+        let labels: Vec<TreeLabel> = light
+            .into_iter()
+            .zip(&tin)
+            .map(|(light_ports, &tin)| TreeLabel { tin, light_ports })
+            .collect();
 
         Ok(TreeScheme {
             name: format!("tree-routing(root={root})"),
             root,
-            n_graph: g.n(),
+            n_graph: n,
+            dense,
+            ids,
             nodes,
             labels,
         })
@@ -318,14 +421,8 @@ impl TreeScheme {
     /// Propagates [`TreeBuildError`] (cannot occur for a well-formed SPT of
     /// `g`).
     pub fn from_spt(g: &Graph, spt: &ShortestPathTree) -> Result<Self, TreeBuildError> {
-        // lint:allow(det-hash-iter): consumed by from_parents, which is order-insensitive (children lists sorted there)
-        let mut parents = HashMap::new();
-        for (v, _) in spt.reachable() {
-            if let Some(p) = spt.parent(v) {
-                parents.insert(v, p);
-            }
-        }
-        Self::from_parents(g, spt.source(), &parents)
+        let pairs = spt.reachable().filter_map(|(v, _)| spt.parent(v).map(|p| (v, p))).collect();
+        Self::from_pairs(g, spt.source(), pairs)
     }
 
     /// Builds the router for a cluster tree produced by
@@ -336,14 +433,12 @@ impl TreeScheme {
     /// Propagates [`TreeBuildError`] (cannot occur for a well-formed cluster
     /// tree of `g`).
     pub fn from_restricted(g: &Graph, tree: &RestrictedTree) -> Result<Self, TreeBuildError> {
-        // lint:allow(det-hash-iter): consumed by from_parents, which is order-insensitive (children lists sorted there)
-        let mut parents = HashMap::new();
-        for &(v, _) in tree.members() {
-            if let Some(Some(p)) = tree.parent(v) {
-                parents.insert(v, p);
-            }
-        }
-        Self::from_parents(g, tree.root(), &parents)
+        let pairs = tree
+            .members()
+            .iter()
+            .filter_map(|&(v, _)| tree.parent(v).flatten().map(|p| (v, p)))
+            .collect();
+        Self::from_pairs(g, tree.root(), pairs)
     }
 
     /// Builds the router straight from the last search run on a
@@ -364,14 +459,23 @@ impl TreeScheme {
     /// Propagates [`TreeBuildError`] (cannot occur for a well-formed search
     /// on `g`).
     pub fn from_scratch(g: &Graph, scratch: &SearchScratch) -> Result<Self, TreeBuildError> {
-        // lint:allow(det-hash-iter): consumed by from_parents, which is order-insensitive (children lists sorted there)
-        let mut parents = HashMap::with_capacity(scratch.order().len());
-        for &(v, _) in scratch.order() {
-            if let Some(p) = scratch.parent(v) {
-                parents.insert(v, p);
-            }
+        let pairs = scratch
+            .order()
+            .iter()
+            .filter_map(|&(v, _)| scratch.parent(v).map(|p| (v, p)))
+            .collect();
+        Self::from_pairs(g, scratch.source(), pairs)
+    }
+
+    /// The position of tree vertex `v` in the id-sorted arrays: `v.index()`
+    /// on a spanning tree, a binary search otherwise.
+    #[inline]
+    fn slot(&self, v: VertexId) -> Option<usize> {
+        if self.dense {
+            (v.index() < self.ids.len()).then_some(v.index())
+        } else {
+            self.ids.binary_search(&v).ok()
         }
-        Self::from_parents(g, scratch.source(), &parents)
     }
 
     /// The root of the tree.
@@ -381,32 +485,40 @@ impl TreeScheme {
 
     /// Number of vertices in the tree.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     /// True if the tree contains only its root.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.ids.len() <= 1
     }
 
     /// Returns true if `v` is a tree vertex.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.nodes.contains_key(&v)
+        self.slot(v).is_some()
     }
 
-    /// Iterator over the tree's vertices (arbitrary order).
+    /// Iterator over the tree's vertices in ascending id order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.nodes.keys().copied()
+        self.ids.iter().copied()
     }
 
     /// The local routing information of tree vertex `v`.
+    #[inline]
     pub fn node_info(&self, v: VertexId) -> Option<&TreeNodeInfo> {
-        self.nodes.get(&v)
+        self.slot(v).and_then(|i| self.nodes.get(i))
     }
 
     /// The tree label of tree vertex `v`.
+    #[inline]
     pub fn label(&self, v: VertexId) -> Option<&TreeLabel> {
-        self.labels.get(&v)
+        self.slot(v).and_then(|i| self.labels.get(i))
+    }
+
+    /// The summed size of every vertex's label, in `O(log n)`-bit words:
+    /// what a root stores when it keeps the label of each tree vertex.
+    pub fn total_label_words(&self) -> usize {
+        self.labels.iter().map(TreeLabel::words).sum()
     }
 }
 
@@ -433,17 +545,14 @@ impl RoutingScheme for TreeScheme {
     }
 
     fn label_of(&self, v: VertexId) -> TreeLabel {
-        self.labels
-            .get(&v)
-            .cloned()
-            .unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() })
+        self.label(v).cloned().unwrap_or(TreeLabel { tin: u32::MAX, light_ports: Vec::new() })
     }
 
     fn init_header(&self, source: VertexId, dest: &TreeLabel) -> Result<TreeHeader, RouteError> {
         if dest.tin == u32::MAX {
             return Err(RouteError::BadLabel { what: "destination is not in the tree".into() });
         }
-        if !self.nodes.contains_key(&source) {
+        if !self.contains(source) {
             return Err(RouteError::MissingInformation {
                 at: source,
                 what: "source is not in the tree".into(),
@@ -458,7 +567,7 @@ impl RoutingScheme for TreeScheme {
         _header: &mut TreeHeader,
         dest: &TreeLabel,
     ) -> Result<Decision, RouteError> {
-        let node = self.nodes.get(&at).ok_or_else(|| RouteError::MissingInformation {
+        let node = self.node_info(at).ok_or_else(|| RouteError::MissingInformation {
             at,
             what: "vertex is not in the tree".into(),
         })?;
@@ -469,17 +578,19 @@ impl RoutingScheme for TreeScheme {
     }
 
     fn table_words(&self, v: VertexId) -> usize {
-        self.nodes.get(&v).map(TreeNodeInfo::words).unwrap_or(0)
+        self.node_info(v).map(TreeNodeInfo::words).unwrap_or(0)
     }
 
     fn label_words(&self, v: VertexId) -> usize {
-        self.labels.get(&v).map(TreeLabel::words).unwrap_or(0)
+        self.label(v).map(TreeLabel::words).unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use routing_graph::generators;
     use routing_graph::shortest_path::{cluster_dijkstra, dijkstra, multi_source_dijkstra};
     use routing_model::simulate;
@@ -638,6 +749,19 @@ mod tests {
         parents.insert(VertexId(3), VertexId(2));
         let err = TreeScheme::from_parents(&g, VertexId(0), &parents).unwrap_err();
         assert!(matches!(err, TreeBuildError::NotATree { .. }));
+
+        // A parent id past the end of the graph is a missing edge.
+        let mut parents = HashMap::new();
+        parents.insert(VertexId(1), VertexId(99));
+        let err = TreeScheme::from_parents(&g, VertexId(0), &parents).unwrap_err();
+        assert_eq!(err, TreeBuildError::MissingEdge { child: VertexId(1), parent: VertexId(99) });
+
+        // A pair list (unlike a map) can give a vertex two parents.
+        let pairs =
+            [(VertexId(1), VertexId(0)), (VertexId(2), VertexId(1)), (VertexId(1), VertexId(2))];
+        let err = TreeScheme::from_parents(&g, VertexId(0), pairs.iter().map(|(c, p)| (c, p)))
+            .unwrap_err();
+        assert!(err.to_string().contains("two parents"), "{err}");
     }
 
     #[test]
@@ -652,6 +776,161 @@ mod tests {
         assert!(t.label(VertexId(2)).unwrap().words() >= 1);
         assert_eq!(t.name(), "tree-routing(root=v0)");
         assert_eq!(RoutingScheme::n(&t), 4);
+    }
+
+    /// The per-vertex tables computed the plain way, straight from the
+    /// definitions: recursive DFS over id-sorted children, heavy child =
+    /// largest subtree (ties to the smaller id), labels by walking up to
+    /// the root.
+    fn reference_tables(
+        g: &Graph,
+        root: VertexId,
+        parents: &HashMap<VertexId, VertexId>,
+    ) -> HashMap<VertexId, (TreeNodeInfo, TreeLabel)> {
+        fn dfs(
+            v: VertexId,
+            kids: &HashMap<VertexId, Vec<VertexId>>,
+            clock: &mut u32,
+            span: &mut HashMap<VertexId, (u32, u32)>,
+        ) {
+            let tin = *clock;
+            *clock += 1;
+            for &c in kids.get(&v).into_iter().flatten() {
+                dfs(c, kids, clock, span);
+            }
+            span.insert(v, (tin, *clock));
+        }
+        let mut kids: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        for (&c, &p) in parents {
+            kids.entry(p).or_default().push(c);
+        }
+        for list in kids.values_mut() {
+            list.sort_unstable();
+        }
+        let mut span = HashMap::new();
+        dfs(root, &kids, &mut 0, &mut span);
+        let size = |v: &VertexId| span[v].1 - span[v].0;
+        let heavy_of = |v: VertexId| {
+            let mut best: Option<VertexId> = None;
+            for c in kids.get(&v).into_iter().flatten() {
+                if best.map_or(true, |b| size(c) > size(&b)) {
+                    best = Some(*c);
+                }
+            }
+            best
+        };
+        span.keys()
+            .map(|&v| {
+                let info = TreeNodeInfo {
+                    tin: span[&v].0,
+                    tout: span[&v].1,
+                    parent_port: parents.get(&v).map(|&p| g.port_to(v, p).unwrap()),
+                    heavy: heavy_of(v).map(|h| (span[&h].0, span[&h].1, g.port_to(v, h).unwrap())),
+                };
+                let mut light_ports = Vec::new();
+                let mut cur = v;
+                while let Some(&p) = parents.get(&cur) {
+                    if heavy_of(p) != Some(cur) {
+                        light_ports.push((span[&p].0, g.port_to(p, cur).unwrap()));
+                    }
+                    cur = p;
+                }
+                light_ports.reverse();
+                (v, (info, TreeLabel { tin: span[&v].0, light_ports }))
+            })
+            .collect()
+    }
+
+    /// Checks every accessor of `t` against [`reference_tables`] on every
+    /// graph vertex, plus ids past the end of the graph.
+    fn assert_matches_reference(g: &Graph, t: &TreeScheme, parents: &HashMap<VertexId, VertexId>) {
+        let reference = reference_tables(g, t.root(), parents);
+        assert_eq!(t.len(), reference.len());
+        for v in (0..g.n() as u32 + 3).map(VertexId) {
+            let want = reference.get(&v);
+            assert_eq!(t.node_info(v), want.map(|(info, _)| info), "node_info({v})");
+            assert_eq!(t.label(v), want.map(|(_, label)| label), "label({v})");
+            assert_eq!(t.contains(v), want.is_some(), "contains({v})");
+            assert_eq!(t.table_words(v), want.map_or(0, |(info, _)| info.words()));
+            assert_eq!(t.label_words(v), want.map_or(0, |(_, label)| label.words()));
+        }
+        let total: usize = reference.values().map(|(_, label)| label.words()).sum();
+        assert_eq!(t.total_label_words(), total);
+    }
+
+    #[test]
+    fn spanning_and_partial_trees_match_the_reference_tables() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(17);
+        let g = generators::erdos_renyi(
+            90,
+            0.07,
+            generators::WeightModel::Uniform { lo: 1, hi: 6 },
+            &mut rng,
+        );
+        assert!(g.is_connected());
+
+        // Spanning: every vertex is in the tree, so slots are dense.
+        let spt = dijkstra(&g, VertexId(4));
+        let parents: HashMap<_, _> =
+            g.vertices().filter_map(|v| spt.parent(v).map(|p| (v, p))).collect();
+        let t = TreeScheme::from_spt(&g, &spt).unwrap();
+        assert_eq!(t.len(), g.n());
+        assert_matches_reference(&g, &t, &parents);
+        assert_matches_reference(
+            &g,
+            &TreeScheme::from_parents(&g, VertexId(4), &parents).unwrap(),
+            &parents,
+        );
+
+        // Partial: a cluster tree, so slots come from the binary search.
+        let ms = multi_source_dijkstra(&g, &[VertexId(0), VertexId(50)]);
+        let bound: Vec<_> = g.vertices().map(|v| ms.dist(v).unwrap()).collect();
+        let cluster = cluster_dijkstra(&g, VertexId(31), &bound);
+        let parents: HashMap<_, _> = cluster.tree_edges().collect();
+        let t = TreeScheme::from_restricted(&g, &cluster).unwrap();
+        assert!(t.len() > 1 && t.len() < g.n(), "want a proper cluster, got {} vertices", t.len());
+        assert_matches_reference(&g, &t, &parents);
+    }
+
+    #[test]
+    fn out_of_range_and_absent_vertices_are_answered_without_panicking() {
+        let g = generators::grid(4, 4);
+        let spanning = spt_scheme(&g, VertexId(5));
+        let mut parents = HashMap::new();
+        parents.insert(VertexId(1), VertexId(0));
+        parents.insert(VertexId(4), VertexId(0));
+        let partial = TreeScheme::from_parents(&g, VertexId(0), &parents).unwrap();
+        for t in [&spanning, &partial] {
+            for v in [VertexId(16), VertexId(1000), VertexId(u32::MAX)] {
+                assert!(!t.contains(v));
+                assert_eq!(t.node_info(v), None);
+                assert_eq!(t.label(v), None);
+                assert_eq!(t.table_words(v), 0);
+                assert_eq!(t.label_words(v), 0);
+                assert_eq!(t.label_of(v).tin, u32::MAX);
+                assert!(t.decide(v, &mut TreeHeader, &t.label_of(VertexId(1))).is_err());
+                assert!(t.init_header(v, &t.label_of(VertexId(1))).is_err());
+            }
+        }
+        assert!(!partial.contains(VertexId(2)));
+        assert_eq!(partial.node_info(VertexId(2)), None);
+    }
+
+    #[test]
+    fn vertices_are_yielded_in_ascending_id_order() {
+        let g = generators::grid(6, 6);
+        let ms = multi_source_dijkstra(&g, &[VertexId(35)]);
+        let bound: Vec<_> = g.vertices().map(|v| ms.dist(v).unwrap()).collect();
+        let partial = TreeScheme::from_restricted(&g, &cluster_dijkstra(&g, VertexId(9), &bound))
+            .unwrap();
+        for t in [spt_scheme(&g, VertexId(20)), partial] {
+            let ids: Vec<VertexId> = t.vertices().collect();
+            assert_eq!(ids.len(), t.len());
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "not ascending: {ids:?}");
+            assert!(ids.contains(&t.root()));
+        }
     }
 
     #[test]

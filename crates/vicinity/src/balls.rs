@@ -16,10 +16,11 @@
 //! * its members `(v, d(u, v))` in `(distance, id)` settle order (what
 //!   [`BallView::members`] exposes and the sequence builders iterate), with
 //!   the first hop towards each member alongside, and
-//! * the same members as **id-sorted** `(v, port, d(u, v))` triples, so the
-//!   query-path operations — [`BallTable::contains`], [`BallTable::dist`],
-//!   [`BallTable::first_port`] — are one binary search over a contiguous
-//!   slice instead of a hash lookup per call.
+//! * the same members **id-sorted** in three parallel arrays — ids, ports
+//!   and distances — so the query-path operations — [`BallTable::contains`],
+//!   [`BallTable::dist`], [`BallTable::first_port`] — are one binary search
+//!   over a contiguous slice of 4-byte ids, touching the port or distance
+//!   array only on a hit.
 //!
 //! Building runs one *bounded* ball search per vertex
 //! ([`SearchScratch::ball_into`], which stops after `ℓ` settled vertices) on
@@ -46,9 +47,14 @@ pub struct BallTable {
     /// First hop from the center towards each member, aligned with
     /// `members` (`None` for the center).
     first_hops: Vec<Option<VertexId>>,
-    /// Per vertex: the same members as id-sorted `(member, port, distance)`
-    /// triples — the binary-searched query path.
-    lookup: Vec<(VertexId, Port, Weight)>,
+    /// Per vertex: the same members in id order — the binary-searched key
+    /// array of the query path.
+    lookup_ids: Vec<VertexId>,
+    /// Port at the center towards `lookup_ids[i]` (`NO_PORT` for the
+    /// center itself).
+    lookup_ports: Vec<Port>,
+    /// Distance from the center to `lookup_ids[i]`.
+    lookup_dists: Vec<Weight>,
     /// The radius `r_u(ℓ)` of every ball.
     radius: Vec<Weight>,
 }
@@ -91,7 +97,9 @@ impl BallTable {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut members = Vec::with_capacity(total);
         let mut first_hops = Vec::with_capacity(total);
-        let mut lookup = Vec::with_capacity(total);
+        let mut lookup_ids = Vec::with_capacity(total);
+        let mut lookup_ports = Vec::with_capacity(total);
+        let mut lookup_dists = Vec::with_capacity(total);
         let mut radius = Vec::with_capacity(n);
         offsets.push(0u32);
         let mut sorted: Vec<(VertexId, Port, Weight)> = Vec::new();
@@ -99,13 +107,24 @@ impl BallTable {
             sorted.clear();
             sorted.extend(m.iter().zip(&ports).map(|(&(v, d), &p)| (v, p, d)));
             sorted.sort_unstable_by_key(|&(v, _, _)| v);
-            lookup.extend_from_slice(&sorted);
+            lookup_ids.extend(sorted.iter().map(|&(v, _, _)| v));
+            lookup_ports.extend(sorted.iter().map(|&(_, p, _)| p));
+            lookup_dists.extend(sorted.iter().map(|&(_, _, d)| d));
             members.extend(m);
             first_hops.extend(fh);
             radius.push(r);
             offsets.push(members.len() as u32);
         }
-        BallTable { ell, offsets, members, first_hops, lookup, radius }
+        BallTable {
+            ell,
+            offsets,
+            members,
+            first_hops,
+            lookup_ids,
+            lookup_ports,
+            lookup_dists,
+            radius,
+        }
     }
 
     /// The ball size parameter `ℓ` the table was built with.
@@ -123,15 +142,13 @@ impl BallTable {
         BallView { table: self, u }
     }
 
-    /// The id-sorted `(member, port, distance)` triple for `v` in `B(u, ℓ)`,
-    /// found by binary search.
+    /// The index of `v` in the id-sorted lookup arrays if `v ∈ B(u, ℓ)`,
+    /// found by binary search over the ball's id keys.
     #[inline]
-    fn entry(&self, u: VertexId, v: VertexId) -> Option<(VertexId, Port, Weight)> {
-        let slice = &self.lookup[self.range(u)];
-        slice
-            .binary_search_by_key(&v, |&(m, _, _)| m)
-            .ok()
-            .map(|i| slice[i])
+    fn entry(&self, u: VertexId, v: VertexId) -> Option<usize> {
+        let range = self.range(u);
+        let start = range.start;
+        self.lookup_ids[range].binary_search(&v).ok().map(|i| start + i)
     }
 
     /// Returns true if `v ∈ B(u, ℓ)`.
@@ -141,7 +158,7 @@ impl BallTable {
 
     /// Distance from `u` to `v` if `v ∈ B(u, ℓ)`.
     pub fn dist(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.entry(u, v).map(|(_, _, d)| d)
+        self.entry(u, v).map(|i| self.lookup_dists[i])
     }
 
     /// The first hop of a shortest path from `u` to `v`, if `v ∈ B(u, ℓ)`
@@ -152,7 +169,7 @@ impl BallTable {
 
     /// The port at `u` on a shortest path towards ball member `v`.
     pub fn first_port(&self, u: VertexId, v: VertexId) -> Option<Port> {
-        self.entry(u, v).and_then(|(_, p, _)| (p != NO_PORT).then_some(p))
+        self.entry(u, v).map(|i| self.lookup_ports[i]).filter(|&p| p != NO_PORT)
     }
 
     /// The space Lemma 2 charges to `u`, in `O(log n)`-bit words: one id, one
@@ -366,6 +383,48 @@ mod tests {
                     let port = t.first_port(u, v).unwrap();
                     assert_eq!(g.neighbor_at(u, port).to, hop);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn key_search_agrees_with_the_member_list() {
+        // The id-sorted key array and its port/distance arrays must answer
+        // for exactly the members of `ball(u)`, in any order of probing.
+        let mut rng = StdRng::seed_from_u64(31);
+        let g = generators::erdos_renyi(
+            70,
+            0.08,
+            generators::WeightModel::Uniform { lo: 1, hi: 9 },
+            &mut rng,
+        );
+        let t = BallTable::build(&g, 11);
+        for u in g.vertices() {
+            let view = t.ball(u);
+            let members = view.members();
+            for &(v, d) in members {
+                assert!(t.contains(u, v));
+                assert_eq!(t.dist(u, v), Some(d));
+                let port = t.first_port(u, v);
+                if v == u {
+                    assert_eq!(port, None, "the center has no first port");
+                } else {
+                    let hop = g.neighbor_at(u, port.unwrap());
+                    assert_eq!(Some(hop.to), t.first_hop(u, v));
+                    assert_eq!(
+                        t.dist(hop.to, v),
+                        Some(d - hop.weight),
+                        "first port is not on a shortest path"
+                    );
+                }
+            }
+            let outside = (0..g.n() as u32 + 2)
+                .map(VertexId)
+                .filter(|&v| !members.iter().any(|&(m, _)| m == v));
+            for v in outside {
+                assert!(!t.contains(u, v));
+                assert_eq!(t.dist(u, v), None);
+                assert_eq!(t.first_port(u, v), None);
             }
         }
     }

@@ -307,7 +307,7 @@ proptest! {
     /// search with the pre-refactor allocating implementations — distances,
     /// parents, first hops, member order, radii and nearest-source labels.
     #[test]
-    fn scratch_kernel_matches_reference_searches((g, seed) in arb_graph(), ell in 2usize..16) {
+    fn scratch_kernel_matches_reference_searches((g, _seed) in arb_graph(), ell in 2usize..16) {
         use routing_graph::{reference, SearchScratch};
         let mut scratch = SearchScratch::for_graph(&g);
         let sources: Vec<VertexId> = g.vertices().step_by(9).collect();
